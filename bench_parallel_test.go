@@ -26,10 +26,15 @@ func BenchmarkParallelBnB(b *testing.B) {
 }
 
 // BenchmarkWarmStart measures the serial warm-start path on the 6-job E5
-// instance in both basis representations; allocs/op tracks the simplex
-// scratch pool and the ilpsched build arena. basis=sparse is the default
+// instance in both basis representations; allocs/op tracks the
+// per-worker LP workspace and the ilpsched build arena. basis=sparse is the default
 // LU + Forrest–Tomlin core, basis=dense the explicit-inverse fallback.
 func BenchmarkWarmStart(b *testing.B) {
 	b.Run("basis=sparse", benchkit.BenchWarmStart(false))
 	b.Run("basis=dense", benchkit.BenchWarmStart(true))
 }
+
+// BenchmarkNodeResolve measures one warm node re-solve of a sampled CTC
+// step on a reused LP workspace: the per-node work of branch and bound.
+// allocs/op pins the per-node allocation of the search.
+func BenchmarkNodeResolve(b *testing.B) { benchkit.BenchNodeResolve(b) }

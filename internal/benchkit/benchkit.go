@@ -117,8 +117,8 @@ func BenchParallelBnB(workers int) func(b *testing.B) {
 
 // BenchWarmStart returns the warm-start/allocation benchmark body: one
 // serial bounded solve of the 6-job E5 instance per iteration. Its
-// allocs/op tracks the sync.Pool scratch reuse in the simplex and the
-// arena build in ilpsched; its WarmStartHits tracks the dual-simplex and
+// allocs/op tracks the search's per-worker LP workspace and the arena
+// build in ilpsched; its WarmStartHits tracks the dual-simplex and
 // primal-repair warm paths. dense selects the explicit-inverse basis
 // instead of the default sparse LU, so the two representations can be
 // benchmarked against each other.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/schedule"
 	"repro/internal/stats"
 )
@@ -211,7 +212,7 @@ func TestDeciderProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -266,7 +267,7 @@ func TestThresholdZeroMatchesAdvanced(t *testing.T) {
 		adv := (AdvancedDecider{}).Decide(m, old, evalsWith(vals...))
 		return th.Name() == adv.Name()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 400)); err != nil {
 		t.Fatal(err)
 	}
 }

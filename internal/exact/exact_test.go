@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -106,7 +107,7 @@ func TestExactBeatsPolicies(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 120)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +169,7 @@ func TestILPAgreesWithExact(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/schedule"
 	"repro/internal/stats"
 )
@@ -71,7 +72,7 @@ func TestPresolvedILPAgreesWithExact(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

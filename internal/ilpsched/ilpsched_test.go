@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/schedule"
 	"repro/internal/stats"
 )
@@ -336,7 +337,7 @@ func TestILPBeatsPoliciesAtScaleOne(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

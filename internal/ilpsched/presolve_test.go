@@ -6,13 +6,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/schedule"
 	"repro/internal/stats"
-
-	"repro/internal/job"
 )
 
 // randomInstance builds a random-but-valid instance plus its policy
@@ -104,7 +104,7 @@ func TestBuildPresolvedAgreesWithBuild(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,7 +156,7 @@ func TestPostsolveXRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

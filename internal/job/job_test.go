@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quickcheck"
 )
 
 func valid(id int) *Job {
@@ -133,7 +135,7 @@ func TestAreaProperty(t *testing.T) {
 		j.Runtime = j.Estimate
 		return j.Area() == int64(j.Width)*j.Estimate && j.Area() > 0
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,7 +156,7 @@ func TestSortProperty(t *testing.T) {
 		tr.SortBySubmit()
 		return tr.Validate() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -163,6 +163,124 @@ func TestSparseDenseAgreeWarmStarts(t *testing.T) {
 	}
 }
 
+// nodeLP is one branch-and-bound node relaxation: the column bounds of
+// its path and its parent's optimal basis, the warm start a search hands
+// the simplex.
+type nodeLP struct {
+	lo, hi []float64
+	basis  *Basis
+}
+
+// harvestNodeLPs walks a depth-first branch-and-bound tree over p (most
+// fractional integer column, down child first, warm-started from the
+// parent) and returns up to maxNodes of its node relaxations below the
+// root. The root-LP harness above never sees these warm re-solves, the
+// ones a search performs thousands of times.
+func harvestNodeLPs(t *testing.T, p *Problem, ints []int, maxNodes int) []nodeLP {
+	t.Helper()
+	stack := []nodeLP{{lo: append([]float64(nil), p.lo...), hi: append([]float64(nil), p.hi...)}}
+	var out []nodeLP
+	for len(stack) > 0 && len(out) < maxNodes {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if nd.basis != nil {
+			out = append(out, nd)
+		}
+		res, err := nd.problem(p).SolveFrom(nd.basis, Options{})
+		if err != nil {
+			t.Fatalf("harvest: %v", err)
+		}
+		if res.Status != Optimal {
+			continue
+		}
+		col, dist := -1, 1e-6
+		for _, j := range ints {
+			f := res.X[j] - math.Floor(res.X[j])
+			if d := math.Min(f, 1-f); d > dist {
+				col, dist = j, d
+			}
+		}
+		if col < 0 {
+			continue
+		}
+		v := res.X[col]
+		up := nodeLP{lo: append([]float64(nil), nd.lo...), hi: nd.hi, basis: res.Basis}
+		up.lo[col] = math.Ceil(v)
+		down := nodeLP{lo: nd.lo, hi: append([]float64(nil), nd.hi...), basis: res.Basis}
+		down.hi[col] = math.Floor(v)
+		stack = append(stack, up, down)
+	}
+	return out
+}
+
+// problem returns a clone of p with the node's bounds.
+func (nd nodeLP) problem(p *Problem) *Problem {
+	q := p.Clone()
+	for j := range nd.lo {
+		q.SetBounds(j, nd.lo[j], nd.hi[j])
+	}
+	return q
+}
+
+// checkNodeLPsBothBases warm-solves every node LP from its parent basis
+// under the sparse and the dense basis and requires the same status, the
+// same optimal objective (1e-9 relative, matching a cold solve) and a
+// KKT certificate for both solutions. It returns the number of node LPs
+// checked.
+func checkNodeLPsBothBases(t *testing.T, p *Problem, ints []int, maxNodes int, tag string) int {
+	t.Helper()
+	nodes := harvestNodeLPs(t, p, ints, maxNodes)
+	for k, nd := range nodes {
+		q := nd.problem(p)
+		sparse, err := q.SolveFrom(nd.basis, Options{})
+		if err != nil {
+			t.Fatalf("%s node %d: warm sparse: %v", tag, k, err)
+		}
+		dense, err := q.SolveFrom(nd.basis, Options{DenseBasis: true})
+		if err != nil {
+			t.Fatalf("%s node %d: warm dense: %v", tag, k, err)
+		}
+		cold, err := q.Solve(Options{})
+		if err != nil {
+			t.Fatalf("%s node %d: cold sparse: %v", tag, k, err)
+		}
+		if sparse.Status != dense.Status || sparse.Status != cold.Status {
+			t.Fatalf("%s node %d: status warm sparse %v, warm dense %v, cold %v",
+				tag, k, sparse.Status, dense.Status, cold.Status)
+		}
+		if sparse.Status != Optimal {
+			continue
+		}
+		for _, other := range []*Result{dense, cold} {
+			if d := math.Abs(sparse.Objective - other.Objective); d > 1e-9*(1+math.Abs(other.Objective)) {
+				t.Fatalf("%s node %d: objective warm sparse %.15g vs %.15g (|Δ| = %g)",
+					tag, k, sparse.Objective, other.Objective, d)
+			}
+		}
+		checkKKT(t, q, sparse)
+		checkKKT(t, q, dense)
+	}
+	return len(nodes)
+}
+
+// Sparse and dense bases agree on the node LPs of branch-and-bound trees
+// over random integer programs (every column of randomFeasibleLP has
+// integral bounds, so all are branched on).
+func TestSparseDenseAgreeRandomNodeLPs(t *testing.T) {
+	checked := 0
+	for seed := uint64(1200); seed < 1300; seed++ {
+		p := randomFeasibleLP(stats.NewRand(seed))
+		ints := make([]int, p.NumVariables())
+		for j := range ints {
+			ints[j] = j
+		}
+		checked += checkNodeLPsBothBases(t, p, ints, 20, fmt.Sprintf("seed=%d", seed))
+	}
+	if checked < 100 {
+		t.Fatalf("only %d node LPs harvested", checked)
+	}
+}
+
 // Hyper-sparsity: an FTRAN whose right-hand side touches one row of a
 // slack-dominated (near-identity) basis must skip the untouched columns
 // entirely — the touch count stays O(1) while m is large.
@@ -176,7 +294,7 @@ func TestFTRANHyperSparseSkips(t *testing.T) {
 			p.SetCoeff(r, x, 1)
 		}
 	}
-	s := newSimplex(p, Options{}.withDefaults())
+	s := newSimplex(p, Options{}.withDefaults(), new(Workspace))
 	defer s.release()
 	s.coldBasis() // all-slack basis: B = I
 	w := make([]float64, s.m)
@@ -207,7 +325,7 @@ func TestDenseDriftDetectsCorruption(t *testing.T) {
 	if err != nil || res.Status != Optimal {
 		t.Skipf("fixture did not solve: %v %v", res, err)
 	}
-	s := newSimplex(p, opt)
+	s := newSimplex(p, opt, new(Workspace))
 	defer s.release()
 	copy(s.stat, res.Basis.stat)
 	copy(s.basis, res.Basis.rows)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -189,7 +190,7 @@ func TestMPSRoundTripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 120)); err != nil {
 		t.Fatal(err)
 	}
 }

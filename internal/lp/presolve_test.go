@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -160,7 +161,7 @@ func TestPresolveAgreesWithSolve(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }

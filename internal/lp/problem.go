@@ -66,6 +66,12 @@ type Problem struct {
 	// entries; coalesce() clears it.
 	dirty bool
 
+	// rowA is the row-major copy of the coalesced matrix that the simplex
+	// builds its pivot rows from. It is built once per matrix, dropped by
+	// every edit of the matrix shape or coefficients, and shared read-only
+	// by clones.
+	rowA *rowMajor
+
 	// arena is a single backing store for column entries, carved into
 	// per-column slices by ReserveColumn so that bulk model builds (the
 	// time-indexed scheduling formulation) perform one allocation for all
@@ -85,6 +91,7 @@ func (p *Problem) AddVariable(lo, hi, cost float64, name string) int {
 	p.hi = append(p.hi, hi)
 	p.names = append(p.names, name)
 	p.cols = append(p.cols, nil)
+	p.rowA = nil
 	return len(p.cost) - 1
 }
 
@@ -92,6 +99,7 @@ func (p *Problem) AddVariable(lo, hi, cost float64, name string) int {
 func (p *Problem) AddConstraint(s Sense, rhs float64) int {
 	p.sense = append(p.sense, s)
 	p.rhs = append(p.rhs, rhs)
+	p.rowA = nil
 	return len(p.rhs) - 1
 }
 
@@ -109,6 +117,7 @@ func (p *Problem) SetCoeff(row, col int, v float64) {
 	}
 	p.cols[col] = append(p.cols[col], nz{row: row, val: v})
 	p.dirty = true
+	p.rowA = nil
 }
 
 // SetBounds replaces the bounds of column col (used by branch and bound).
@@ -225,22 +234,25 @@ func (p *Problem) ReserveColumn(col, n int) {
 	p.arenaOff += n
 }
 
-// Freeze coalesces any pending coefficient edits now, leaving the problem
-// safe for concurrent read-only use (the parallel branch-and-bound
-// evaluates candidates against the shared root problem while workers
-// solve on clones; without Freeze the first concurrent reader would race
-// on the lazy coalesce).
-func (p *Problem) Freeze() { p.coalesce() }
+// Freeze coalesces any pending coefficient edits and builds the
+// row-major copy now, leaving the problem safe for concurrent read-only
+// use (the parallel branch-and-bound evaluates candidates against the
+// shared root problem while workers solve on clones; without Freeze the
+// first concurrent reader would race on the lazy coalesce).
+func (p *Problem) Freeze() { p.rows() }
 
-// coalesce sorts each column by row and merges duplicate entries. It is
-// a no-op when nothing changed since the last call.
+// coalesce sorts each column by row and merges duplicate and cancelled
+// entries. It is a no-op when nothing changed since the last call, and
+// it rewrites only the columns that need it: a clone shares its parent's
+// columns, and the copy-on-write discipline of Clone relies on untouched
+// columns never being written.
 func (p *Problem) coalesce() {
 	if !p.dirty {
 		return
 	}
 	p.dirty = false
 	for j, col := range p.cols {
-		if len(col) < 2 {
+		if columnCanonical(col) {
 			continue
 		}
 		sort.Slice(col, func(a, b int) bool { return col[a].row < col[b].row })
@@ -263,8 +275,67 @@ func (p *Problem) coalesce() {
 	}
 }
 
-// Clone returns an independent copy of the problem.
+// columnCanonical reports whether col is already strictly row-sorted
+// with no zero entries, i.e. coalesce would leave it unchanged.
+func columnCanonical(col []nz) bool {
+	for k, e := range col {
+		if e.val == 0 || (k > 0 && col[k-1].row >= e.row) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowMajor is a compressed-row copy of the structural matrix: row i holds
+// (col[k], val[k]) for k in [start[i], start[i+1]).
+type rowMajor struct {
+	start []int32
+	col   []int32
+	val   []float64
+}
+
+// rows returns the row-major copy of the coalesced matrix, building it on
+// first use after an edit.
+func (p *Problem) rows() *rowMajor {
+	p.coalesce()
+	if p.rowA != nil {
+		return p.rowA
+	}
+	m := len(p.rhs)
+	ra := &rowMajor{start: make([]int32, m+1)}
+	for _, col := range p.cols {
+		for _, e := range col {
+			ra.start[e.row+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		ra.start[i+1] += ra.start[i]
+	}
+	nnz := ra.start[m]
+	ra.col = make([]int32, nnz)
+	ra.val = make([]float64, nnz)
+	next := append([]int32(nil), ra.start[:m]...)
+	for j, col := range p.cols {
+		for _, e := range col {
+			k := next[e.row]
+			ra.col[k], ra.val[k] = int32(j), e.val
+			next[e.row]++
+		}
+	}
+	p.rowA = ra
+	return ra
+}
+
+// Clone returns an independent copy of the problem. The coefficient
+// storage and the row-major copy are shared with p, copy-on-write: every
+// shared column is capped at its length in both problems, so a SetCoeff
+// on either one reallocates that column instead of writing into storage
+// the other still reads, and coalesce never rewrites a column no edit has
+// touched. Cloning therefore costs O(columns), not O(nonzeros), which
+// matters for the per-worker clones of parallel branch and bound. Once p
+// is frozen and its columns capped, Clone only reads p.
 func (p *Problem) Clone() *Problem {
+	ra := p.rows() // coalesce first: clones must start clean
 	cp := &Problem{
 		cost:  append([]float64(nil), p.cost...),
 		lo:    append([]float64(nil), p.lo...),
@@ -273,10 +344,14 @@ func (p *Problem) Clone() *Problem {
 		sense: append([]Sense(nil), p.sense...),
 		rhs:   append([]float64(nil), p.rhs...),
 		cols:  make([][]nz, len(p.cols)),
+		rowA:  ra,
 	}
 	for j, c := range p.cols {
-		cp.cols[j] = append([]nz(nil), c...)
+		c = c[:len(c):len(c)]
+		if cap(p.cols[j]) != len(c) {
+			p.cols[j] = c
+		}
+		cp.cols[j] = c
 	}
-	cp.dirty = p.dirty
 	return cp
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/solvererr"
@@ -152,6 +151,11 @@ const (
 // FTRAN use the same factorization arithmetic.
 var dualBreakdownHook func(s *simplex, w []float64, r int)
 
+// pivotHook, when non-nil, runs after every basis change of the primal
+// and dual loops. It is a test-only probe for the maintained reduced
+// costs.
+var pivotHook func(s *simplex)
+
 // factorCoef is one structural basic coefficient bucketed by covered row
 // during factorize().
 type factorCoef struct {
@@ -159,14 +163,14 @@ type factorCoef struct {
 	val float64
 }
 
-// scratch is the reusable per-solve allocation set of a simplex. A
-// branch-and-bound run performs thousands of short LP solves; without
-// reuse every one of them allocates the m×m inverse, the column-state
-// vectors and the pivot work arrays from scratch. The pool hands each
-// solve (including concurrent ones from the parallel branch-and-bound
-// workers) an exclusive scratch; release() returns it after the Result —
-// which never aliases scratch memory — has been extracted.
-type scratch struct {
+// Workspace is the working memory of LP solves: the column-state
+// vectors, the pivot work arrays and the basis factorization. A
+// branch-and-bound search performs thousands of short re-solves; giving
+// each worker one Workspace for the whole search makes them
+// allocation-free apart from the Result, which never aliases workspace
+// memory. The zero value is ready to use. A Workspace serves one solve at
+// a time; it is not safe for concurrent use.
+type Workspace struct {
 	cost, lo, hi, structCost []float64
 	stat                     []colStatus
 	acols                    [][]nz
@@ -177,17 +181,20 @@ type scratch struct {
 	artRow                   []int
 	artSign                  []float64
 
+	// Reduced costs and the pivot row (see simplex).
+	d, alpha []float64
+	alphaIdx []int32
+	mark     []bool
+
 	// factorize() temporaries.
 	posOfRow, structPos, rv, rvIdx []int
 	fscale, fa, fainv              []float64
 	cRows                          [][]factorCoef
 
 	// lu is the sparse basis factorization, lazily created and reused
-	// across the solves this scratch serves.
+	// across the solves this workspace serves.
 	lu *luFactor
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // growF returns buf resized to n, reallocating only when the capacity is
 // too small. Contents are unspecified; callers overwrite what they read.
@@ -260,11 +267,28 @@ type simplex struct {
 	dense bool      // Options.DenseBasis: use binv instead of lu
 	xB    []float64
 
-	// Pivot-loop work arrays (duals, ftran result, dual row), plus the
-	// computeXB temporary; all scratch-backed.
+	// Pivot-loop work arrays (duals, ftran result, row of B⁻¹), plus the
+	// computeXB temporary; all workspace-backed.
 	y, w, rho, tmp []float64
 
+	// d holds the reduced costs d_j = c_j − yᵀA_j of every column (zero
+	// on basic ones). priceAll computes them from one BTRAN; each pivot
+	// then updates them from the pivot row instead of re-pricing every
+	// column. dFresh reports that no update has happened since the last
+	// priceAll.
+	d      []float64
+	dFresh bool
+
+	// The pivot row alpha_r = ρᵀA (ρ = row r of B⁻¹), held in alpha over
+	// the columns listed in alphaIdx (mark flags membership). pivotRow
+	// builds it row-wise from rowA, the problem's row-major matrix copy.
+	rowA     *rowMajor
+	alpha    []float64
+	alphaIdx []int32
+	mark     []bool
+
 	iters       int
+	itersCarry  int // iterations of an abandoned warm attempt
 	refacts     int
 	degen       int
 	flips       int
@@ -280,9 +304,9 @@ type simplex struct {
 	phase1      bool
 	structCost  []float64 // original costs, structural+slack (+art zeros)
 
-	// sc is the pooled allocation set backing the slices above; release()
-	// returns it (nil after release).
-	sc *scratch
+	// sc is the workspace backing the slices above; release() hands the
+	// (possibly grown) slices back to it (nil after release).
+	sc *Workspace
 
 	// Cooperative cancellation: ctx is polled every cancelCheckEvery
 	// iterations; canceled latches the first observed ctx error.
@@ -314,11 +338,10 @@ func (s *simplex) cancelErr() error {
 	return newCanceled(context.Cause(s.ctx))
 }
 
-func newSimplex(p *Problem, opt Options) *simplex {
-	p.coalesce()
+func newSimplex(p *Problem, opt Options, sc *Workspace) *simplex {
+	rowA := p.rows()
 	m, n := p.NumConstraints(), p.NumVariables()
-	sc := scratchPool.Get().(*scratch)
-	s := &simplex{p: p, m: m, n: n, opt: opt, sc: sc}
+	s := &simplex{p: p, m: m, n: n, opt: opt, sc: sc, rowA: rowA}
 	nc := n + m
 	s.cost = growF(sc.cost, nc)
 	s.lo = growF(sc.lo, nc)
@@ -371,12 +394,19 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	s.tmp = growF(sc.tmp, m)
 	s.artRow = sc.artRow[:0]
 	s.artSign = sc.artSign[:0]
+	// Column-indexed pricing arrays also cover the up to m artificials
+	// installPhase1 may append.
+	s.d = growF(sc.d, nc+m)
+	s.alpha = growF(sc.alpha, nc+m)
+	s.mark = growBool(sc.mark, nc+m)
+	s.alphaIdx = sc.alphaIdx[:0]
 	return s
 }
 
-// release returns the solve's scratch allocations to the pool. It must
-// run after the Result has been extracted; Results never alias scratch
-// memory (X, Duals and Basis are freshly allocated by extract).
+// release hands the solve's (possibly grown) slices back to its
+// workspace. It must run after the Result has been extracted; Results
+// never alias workspace memory (X, Duals and Basis are freshly allocated
+// by extract).
 func (s *simplex) release() {
 	sc := s.sc
 	if sc == nil {
@@ -392,7 +422,7 @@ func (s *simplex) release() {
 	sc.basis, sc.binv, sc.xB = s.basis, s.binv, s.xB
 	sc.y, sc.w, sc.rho, sc.tmp = s.y, s.w, s.rho, s.tmp
 	sc.artRow, sc.artSign = s.artRow, s.artSign
-	scratchPool.Put(sc)
+	sc.d, sc.alpha, sc.alphaIdx, sc.mark = s.d, s.alpha, s.alphaIdx, s.mark
 }
 
 func (s *simplex) ncols() int { return s.n + s.m + len(s.artRow) }
@@ -456,8 +486,8 @@ func (s *simplex) coldBasis() {
 	s.computeXB()
 }
 
-// factorize rebuilds the basis factorization (and xB) from the basis
-// columns. It reports whether the basis is nonsingular.
+// factorize rebuilds the basis factorization, xB and the reduced costs
+// from the basis columns. It reports whether the basis is nonsingular.
 func (s *simplex) factorize() bool {
 	ok := s.rebuildDense
 	if !s.dense {
@@ -467,6 +497,7 @@ func (s *simplex) factorize() bool {
 		return false
 	}
 	s.computeXB()
+	s.priceAll()
 	s.sincefact = 0
 	s.refacts++
 	return true
@@ -808,13 +839,83 @@ func (s *simplex) basisDrift() float64 {
 	return worst / (1 + scale)
 }
 
-// reduced returns d_j = c_j - y^T A_j.
-func (s *simplex) reduced(j int, y []float64) float64 {
-	d := s.cost[j]
-	for _, e := range s.acols[j] {
-		d -= y[e.row] * e.val
+// priceAll recomputes every reduced cost from scratch: one BTRAN for the
+// duals y = c_Bᵀ B⁻¹, then d_j = c_j − yᵀA_j for each nonbasic column.
+// It runs after every refactorization and phase change and before any
+// optimality claim; between those the pivots update d incrementally.
+func (s *simplex) priceAll() {
+	y := s.y
+	s.duals(y)
+	for j := 0; j < s.ncols(); j++ {
+		if s.stat[j] == isBasic {
+			s.d[j] = 0
+			continue
+		}
+		d := s.cost[j]
+		for _, e := range s.acols[j] {
+			d -= y[e.row] * e.val
+		}
+		s.d[j] = d
 	}
-	return d
+	s.dFresh = true
+}
+
+// pivotRow builds the pivot row alpha_r = ρᵀA, ρ = row r of B⁻¹, over
+// every column into alpha/alphaIdx. It works row-wise: only the rows
+// where ρ is nonzero are visited, through the row-major copy of the
+// structural matrix, so its cost follows the sparsity of ρ rather than
+// the nonzero count of A. Slack and artificial entries are ρ itself.
+func (s *simplex) pivotRow(r int) {
+	rho := s.rho
+	s.basisRow(r, rho)
+	for _, j := range s.alphaIdx {
+		s.mark[j] = false
+	}
+	idx := s.alphaIdx[:0]
+	alpha, mark := s.alpha, s.mark
+	ra := s.rowA
+	for i := 0; i < s.m; i++ {
+		ri := rho[i]
+		if ri == 0 {
+			continue
+		}
+		for k := ra.start[i]; k < ra.start[i+1]; k++ {
+			j := ra.col[k]
+			if !mark[j] {
+				mark[j], alpha[j] = true, 0
+				idx = append(idx, j)
+			}
+			alpha[j] += ri * ra.val[k]
+		}
+		j := int32(s.n + i)
+		mark[j], alpha[j] = true, ri
+		idx = append(idx, j)
+	}
+	for k, i := range s.artRow {
+		if ri := rho[i]; ri != 0 {
+			j := int32(s.n + s.m + k)
+			mark[j], alpha[j] = true, s.artSign[k]*ri
+			idx = append(idx, j)
+		}
+	}
+	s.alphaIdx = idx
+}
+
+// updateReducedCosts moves d to the basis in which column enter replaces
+// the column basic in row r, given the pivot row in alpha and the pivot
+// element alphaQ = α_r,enter: d_j −= θ·α_rj with θ = d_enter/alphaQ,
+// which zeroes d_enter and leaves −θ on the leaving column. It must run
+// before pivot() changes the column statuses.
+func (s *simplex) updateReducedCosts(r, enter int, alphaQ float64) {
+	theta := s.d[enter] / alphaQ
+	for _, j := range s.alphaIdx {
+		if s.stat[j] != isBasic {
+			s.d[j] -= theta * s.alpha[j]
+		}
+	}
+	s.d[enter] = 0
+	s.d[s.basis[r]] = -theta
+	s.dFresh = false
 }
 
 // objValue is the current objective under the active (phase) costs.
@@ -936,14 +1037,61 @@ func (s *simplex) pivotSparse(r, j int) {
 	}
 }
 
+// primalEntering picks the entering column from the maintained reduced
+// costs: the largest improving |d_j| (Dantzig), or the first improving
+// column under Bland's rule. It returns -1 when none improves.
+func (s *simplex) primalEntering() (enter int, sigma float64) {
+	dtol := s.opt.Tol
+	enter, bestScore := -1, dtol
+	for j := 0; j < s.ncols(); j++ {
+		st := s.stat[j]
+		if st == isBasic {
+			continue
+		}
+		if s.hi[j]-s.lo[j] <= 0 && st != freeNB {
+			continue // fixed column can never improve
+		}
+		d := s.d[j]
+		var sg float64
+		switch st {
+		case atLower:
+			if d < -dtol {
+				sg = 1
+			}
+		case atUpper:
+			if d > dtol {
+				sg = -1
+			}
+		case freeNB:
+			if d < -dtol {
+				sg = 1
+			} else if d > dtol {
+				sg = -1
+			}
+		}
+		if sg == 0 {
+			continue
+		}
+		if s.bland {
+			return j, sg
+		}
+		if score := math.Abs(d); score > bestScore {
+			bestScore, enter, sigma = score, j, sg
+		}
+	}
+	return enter, sigma
+}
+
 // primal runs primal simplex iterations under the current costs until
 // optimality, unboundedness or the iteration limit.
 func (s *simplex) primal() Status {
 	m := s.m
-	y, w := s.y, s.w
-	dtol := s.opt.Tol
+	w := s.w
 	s.stall, s.bland = 0, false
 	s.lastObj = math.Inf(1)
+	if !s.dFresh {
+		s.priceAll()
+	}
 	for {
 		if s.iters >= s.opt.MaxIters {
 			return IterationLimit
@@ -952,46 +1100,13 @@ func (s *simplex) primal() Status {
 			return IterationLimit
 		}
 		s.iters++
-		s.duals(y)
-		// Entering column selection.
-		enter, bestScore := -1, dtol
-		var enterSigma float64
-		for j := 0; j < s.ncols(); j++ {
-			st := s.stat[j]
-			if st == isBasic {
-				continue
-			}
-			if s.hi[j]-s.lo[j] <= 0 && st != freeNB {
-				continue // fixed column can never improve
-			}
-			d := s.reduced(j, y)
-			var sigma float64
-			switch st {
-			case atLower:
-				if d < -dtol {
-					sigma = 1
-				}
-			case atUpper:
-				if d > dtol {
-					sigma = -1
-				}
-			case freeNB:
-				if d < -dtol {
-					sigma = 1
-				} else if d > dtol {
-					sigma = -1
-				}
-			}
-			if sigma == 0 {
-				continue
-			}
-			if s.bland {
-				enter, enterSigma = j, sigma
-				break
-			}
-			if score := math.Abs(d); score > bestScore {
-				bestScore, enter, enterSigma = score, j, sigma
-			}
+		enter, enterSigma := s.primalEntering()
+		if enter < 0 && !s.dFresh {
+			// Confirm optimality on freshly computed reduced costs: the
+			// updated ones carry the rounding of every pivot since the
+			// last pricing.
+			s.priceAll()
+			enter, enterSigma = s.primalEntering()
 		}
 		if enter < 0 {
 			return Optimal
@@ -1035,7 +1150,8 @@ func (s *simplex) primal() Status {
 			return Unbounded
 		}
 		if rBest < 0 {
-			// Bound flip: entering travels to its opposite bound.
+			// Bound flip: entering travels to its opposite bound. The
+			// basis, and with it every reduced cost, is unchanged.
 			s.flips++
 			t := tBest
 			for i := 0; i < m; i++ {
@@ -1051,9 +1167,14 @@ func (s *simplex) primal() Status {
 			if enterSigma*w[rBest] > 0 { // basic value decreased to its lower bound
 				leavingStat = atLower
 			}
+			s.pivotRow(rBest)
+			s.updateReducedCosts(rBest, enter, w[rBest])
 			s.pivot(rBest, enter, w, tBest, enterSigma, leavingStat)
 			if s.broken {
 				return IterationLimit
+			}
+			if pivotHook != nil {
+				pivotHook(s)
 			}
 		}
 		// Anti-cycling: switch to Bland's rule when stalled.
@@ -1103,14 +1224,14 @@ func (s *simplex) totalInfeasibility() float64 {
 
 // dual runs dual simplex iterations until primal feasibility (returning
 // Optimal if dual feasibility was maintained), infeasibility, or the
-// iteration limit. When the entering variable's required step exceeds its
-// own bound range, a bound flip is performed instead of a pivot (the
-// bound-flipping ratio test for boxed variables). A stall guard bails out
-// with IterationLimit when the total infeasibility stops decreasing, so
-// the caller can fall back to the two-phase primal.
+// iteration limit. It expects fresh reduced costs (the warm start's
+// factorize prices them). Every iteration is a basis change: the entering
+// column may land beyond its own bound, which a later iteration repairs,
+// so dual feasibility is kept throughout. A stall guard bails out with
+// IterationLimit when the total infeasibility stops decreasing, so the
+// caller can fall back to the two-phase primal.
 func (s *simplex) dual() Status {
-	m := s.m
-	y, rho, w := s.y, s.rho, s.w
+	w := s.w
 	tol := s.opt.Tol
 	stall := 0
 	lastInf := math.Inf(1)
@@ -1142,14 +1263,14 @@ func (s *simplex) dual() Status {
 		} else {
 			bound = s.hi[bj]
 		}
-		s.basisRow(r, rho)
-		s.duals(y)
+		s.pivotRow(r)
 
-		// Dual ratio test.
+		// Dual ratio test over the nonzeros of the pivot row.
 		enter := -1
 		bestRatio := math.Inf(1)
 		var bestAlpha float64
-		for j := 0; j < s.ncols(); j++ {
+		for _, jj := range s.alphaIdx {
+			j := int(jj)
 			st := s.stat[j]
 			if st == isBasic {
 				continue
@@ -1157,12 +1278,7 @@ func (s *simplex) dual() Status {
 			if s.hi[j]-s.lo[j] <= 0 && st != freeNB {
 				continue
 			}
-			var alpha, d float64
-			d = s.cost[j]
-			for _, e := range s.acols[j] {
-				alpha += rho[e.row] * e.val
-				d -= y[e.row] * e.val
-			}
+			alpha := s.alpha[j]
 			if math.Abs(alpha) < 1e-9 {
 				continue
 			}
@@ -1180,7 +1296,7 @@ func (s *simplex) dual() Status {
 					continue
 				}
 			}
-			ratio := math.Abs(d) / math.Abs(alpha)
+			ratio := math.Abs(s.d[j]) / math.Abs(alpha)
 			if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 &&
 				(enter < 0 || math.Abs(alpha) > math.Abs(bestAlpha))) {
 				bestRatio, enter, bestAlpha = ratio, j, alpha
@@ -1193,25 +1309,6 @@ func (s *simplex) dual() Status {
 		sigma := 1.0
 		if delta < 0 {
 			sigma = -1
-		}
-		t := math.Abs(delta)
-		// Bound-flipping: if restoring xB[r] needs a step beyond the
-		// entering column's own range, move that column to its other
-		// bound (no basis change) — the violation shrinks and the next
-		// iteration picks another entering candidate.
-		if rng := s.hi[enter] - s.lo[enter]; !math.IsInf(rng, 1) && t > rng+1e-12 &&
-			s.stat[enter] != freeNB {
-			s.flips++
-			s.ftran(enter, w)
-			for i := 0; i < m; i++ {
-				s.xB[i] -= sigma * w[i] * rng
-			}
-			if s.stat[enter] == atLower {
-				s.stat[enter] = atUpper
-			} else {
-				s.stat[enter] = atLower
-			}
-			continue
 		}
 		s.ftran(enter, w)
 		if dualBreakdownHook != nil {
@@ -1228,9 +1325,13 @@ func (s *simplex) dual() Status {
 		if toLower {
 			leavingStat = atLower
 		}
-		s.pivot(r, enter, w, t, sigma, leavingStat)
+		s.updateReducedCosts(r, enter, w[r])
+		s.pivot(r, enter, w, math.Abs(delta), sigma, leavingStat)
 		if s.broken {
 			return IterationLimit
+		}
+		if pivotHook != nil {
+			pivotHook(s)
 		}
 	}
 }
@@ -1301,11 +1402,12 @@ func (s *simplex) finishPhase1() {
 		}
 	}
 	copy(s.cost, s.structCost)
+	s.priceAll()
 }
 
 // extract builds the Result from the final state.
 func (s *simplex) extract(st Status) *Result {
-	res := &Result{Status: st, Iterations: s.iters,
+	res := &Result{Status: st, Iterations: s.iters + s.itersCarry,
 		Refactorizations: s.refacts, DegeneratePivots: s.degen, BoundFlips: s.flips,
 		EtaUpdates: s.etaUp, FTUpdates: s.ftUp, LUFill: s.luFillSoFar(),
 		RefactorsTriggered: s.refactsTrig}
@@ -1361,22 +1463,42 @@ func (p *Problem) Solve(opt Options) (*Result, error) {
 // ctx every cancelCheckEvery iterations and abort with a *CanceledError
 // when it is done. The problem is left unchanged by an aborted solve.
 func (p *Problem) SolveCtx(ctx context.Context, opt Options) (*Result, error) {
-	res, err := traceSolve(ctx, p, opt, func() (*Result, error) {
-		return p.solveCtx(ctx, opt)
-	})
-	return res, err
+	return new(Workspace).Solve(ctx, p, opt)
 }
 
-func (p *Problem) solveCtx(ctx context.Context, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	s := newSimplex(p, opt)
-	defer s.release()
-	s.ctx = ctx
-	s.coldBasis()
-	return s.run()
+// SolveFrom optimizes the problem warm-starting from basis (typically the
+// parent node's optimal basis in branch and bound, after bound changes).
+// A nil or incompatible basis falls back to a cold start. The dual simplex
+// is tried first when the start is dual feasible.
+func (p *Problem) SolveFrom(basis *Basis, opt Options) (*Result, error) {
+	return p.SolveFromCtx(context.Background(), basis, opt)
+}
+
+// SolveFromCtx is SolveFrom with cooperative cancellation (see SolveCtx).
+func (p *Problem) SolveFromCtx(ctx context.Context, basis *Basis, opt Options) (*Result, error) {
+	return new(Workspace).SolveFrom(ctx, p, basis, opt)
+}
+
+// Solve is Problem.SolveCtx on this workspace's memory.
+func (ws *Workspace) Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
+	return traceSolve(ctx, p, opt, func() (*Result, error) {
+		opt = opt.withDefaults()
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		s := newSimplex(p, opt, ws)
+		defer s.release()
+		s.ctx = ctx
+		s.coldBasis()
+		return s.run()
+	})
+}
+
+// SolveFrom is Problem.SolveFromCtx on this workspace's memory.
+func (ws *Workspace) SolveFrom(ctx context.Context, p *Problem, basis *Basis, opt Options) (*Result, error) {
+	return traceSolve(ctx, p, opt, func() (*Result, error) {
+		return ws.solveFrom(ctx, p, basis, opt)
+	})
 }
 
 // traceSolve wraps solve in an "lp.solve" span when opt.Trace is set;
@@ -1404,27 +1526,12 @@ func traceSolve(ctx context.Context, p *Problem, opt Options, solve func() (*Res
 	return res, err
 }
 
-// SolveFrom optimizes the problem warm-starting from basis (typically the
-// parent node's optimal basis in branch and bound, after bound changes).
-// A nil or incompatible basis falls back to a cold start. The dual simplex
-// is tried first when the start is dual feasible.
-func (p *Problem) SolveFrom(basis *Basis, opt Options) (*Result, error) {
-	return p.SolveFromCtx(context.Background(), basis, opt)
-}
-
-// SolveFromCtx is SolveFrom with cooperative cancellation (see SolveCtx).
-func (p *Problem) SolveFromCtx(ctx context.Context, basis *Basis, opt Options) (*Result, error) {
-	return traceSolve(ctx, p, opt, func() (*Result, error) {
-		return p.solveFromCtx(ctx, basis, opt)
-	})
-}
-
-func (p *Problem) solveFromCtx(ctx context.Context, basis *Basis, opt Options) (*Result, error) {
+func (ws *Workspace) solveFrom(ctx context.Context, p *Problem, basis *Basis, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := newSimplex(p, opt)
+	s := newSimplex(p, opt, ws)
 	defer s.release()
 	s.ctx = ctx
 	if basis == nil || len(basis.stat) != s.n+s.m || len(basis.rows) != s.m {
@@ -1493,29 +1600,32 @@ func (p *Problem) solveFromCtx(ctx context.Context, basis *Basis, opt Options) (
 		}
 		// Limit/unbounded oddity from the repaired basis: go cold below.
 	}
-	// Fall back to a cold two-phase primal solve; carry the telemetry of
-	// the abandoned warm attempt so the counters stay truthful (the
-	// iteration budget is intentionally per-attempt, as before).
-	s2 := newSimplex(p, opt)
+	// Fall back to a cold two-phase primal solve on the same workspace.
+	// The abandoned warm attempt's telemetry, iterations included, is
+	// carried so the counters stay truthful; the iteration budget is per
+	// attempt.
+	luFill := s.luFillSoFar()
+	s.release()
+	s2 := newSimplex(p, opt, ws)
 	defer s2.release()
 	s2.ctx = s.ctx
+	s2.itersCarry = s.iters + s.itersCarry
 	s2.refacts, s2.degen, s2.flips, s2.etaUp = s.refacts, s.degen, s.flips, s.etaUp
-	s2.ftUp, s2.refactsTrig, s2.luFillCarry = s.ftUp, s.refactsTrig, s.luFillSoFar()
+	s2.ftUp, s2.refactsTrig, s2.luFillCarry = s.ftUp, s.refactsTrig, luFill
 	s2.coldBasis()
 	return s2.run()
 }
 
-// dualFeasible reports whether the current basis prices out dual feasible.
+// dualFeasible reports whether the current basis prices out dual
+// feasible. It reads the reduced costs the preceding factorize priced.
 func (s *simplex) dualFeasible() bool {
-	y := s.y
-	s.duals(y)
 	tol := s.opt.Tol * 10
 	for j := 0; j < s.ncols(); j++ {
 		st := s.stat[j]
 		if st == isBasic || s.hi[j]-s.lo[j] <= 0 {
 			continue
 		}
-		d := s.reduced(j, y)
+		d := s.d[j]
 		switch st {
 		case atLower:
 			if d < -tol {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -477,7 +478,7 @@ func TestRandomLPsAreKKTOptimal(t *testing.T) {
 		checkKKT(t, p, res)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -518,7 +519,7 @@ func TestWarmColdAgreementProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -611,14 +612,14 @@ func TestFactorizeInverseIdentity(t *testing.T) {
 	opt := Options{DenseBasis: true}.withDefaults()
 	for trial := 0; trial < 60; trial++ {
 		p := randomFeasibleLP(r)
-		s := newSimplex(p, opt)
+		s := newSimplex(p, opt, new(Workspace))
 		s.coldBasis()
 		res, err := p.Solve(opt)
 		if err != nil || res.Status != Optimal {
 			continue
 		}
 		// Install the optimal basis and factorize through the block path.
-		s2 := newSimplex(p, opt)
+		s2 := newSimplex(p, opt, new(Workspace))
 		copy(s2.stat, res.Basis.stat)
 		copy(s2.basis, res.Basis.rows)
 		if !s2.factorize() {
@@ -656,7 +657,7 @@ func TestSparseLUFactorizeIdentity(t *testing.T) {
 		if err != nil || res.Status != Optimal {
 			continue
 		}
-		s := newSimplex(p, opt)
+		s := newSimplex(p, opt, new(Workspace))
 		copy(s.stat, res.Basis.stat)
 		copy(s.basis, res.Basis.rows)
 		if !s.factorize() {
@@ -710,7 +711,7 @@ func TestFactorizeSingularBasis(t *testing.T) {
 		p.SetCoeff(r0, y, 1)
 		p.SetCoeff(r1, x, 1)
 		p.SetCoeff(r1, y, 1)
-		s := newSimplex(p, Options{DenseBasis: dense}.withDefaults())
+		s := newSimplex(p, Options{DenseBasis: dense}.withDefaults(), new(Workspace))
 		s.coldBasis()
 		s.basis[0], s.basis[1] = x, y // both structural, linearly dependent
 		s.stat[x], s.stat[y] = isBasic, isBasic

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -206,7 +207,7 @@ func TestProfileProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,7 +242,7 @@ func TestEarliestFitMinimality(t *testing.T) {
 		}
 		return false
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -399,7 +400,7 @@ func TestMinFreeMatchesPointwise(t *testing.T) {
 		}
 		return p.MinFree(from, to) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }

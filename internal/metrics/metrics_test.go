@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/job"
+	"repro/internal/quickcheck"
 	"repro/internal/schedule"
 	"repro/internal/stats"
 )
@@ -157,7 +158,7 @@ func TestMetricMonotonicityProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/job"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -116,7 +117,7 @@ func TestObserveBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }

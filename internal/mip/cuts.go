@@ -144,7 +144,7 @@ func (s *solver) addRootCuts(root *lp.Result, maxRounds int) (*lp.Result, int, e
 			break
 		}
 		added += newCuts
-		next, err := s.p.SolveCtx(s.lpCtx, s.opt.LP)
+		next, err := s.root.ws.Solve(s.lpCtx, s.p, s.opt.LP)
 		if err != nil {
 			if errors.Is(err, lp.ErrCanceled) && s.ctx.Err() == nil {
 				// TimeLimit deadline during separation: the appended cuts

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/lp"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -120,7 +121,7 @@ func TestCutsPreserveOptimumProperty(t *testing.T) {
 		}
 		return math.Abs(a.Objective-b.Objective) <= 1e-6
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 120)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -273,11 +273,15 @@ func (r *Result) Gap() float64 {
 }
 
 type node struct {
-	bound   float64 // parent LP objective (lower bound for the subtree)
-	depth   int
-	seq     int
-	changes []Bound   // path from root
-	basis   *lp.Basis // parent basis for warm starting
+	bound float64 // parent LP objective (lower bound for the subtree)
+	depth int
+	seq   int
+	// The node's bounds are its ancestors' changes, root first, then its
+	// own changes: a node stores only the bounds its branch added, so a
+	// child costs O(1) memory instead of a copy of the whole path.
+	parent  *node
+	changes []Bound
+	basis   *lp.Basis // parent basis for warm starting; dropped once solved
 
 	// Branching bookkeeping for pseudocost learning: the column and
 	// direction this node's last bound change came from, and the
@@ -325,6 +329,14 @@ type solver struct {
 	// global bottleneck; the serial path uses the same table (same values,
 	// same branching decisions as the historical map implementation).
 	pc *pcTable
+
+	// root re-solves the root relaxation and the cut rounds on p; the
+	// serial search also solves every node with it.
+	root nodeSolver
+	// dropped is the smallest bound of a node whose LP hit the iteration
+	// limit (+Inf when none): its subtree was never explored, so it stays
+	// part of the best-bound proof.
+	dropped float64
 
 	nodes    int
 	lpIters  int
@@ -499,7 +511,7 @@ func SolveCtx(ctx context.Context, p *lp.Problem, integer []int, opt Options) (*
 		isInt[c] = true
 	}
 	s := &solver{p: p, integer: integer, isInt: isInt, opt: opt, start: time.Now(),
-		pc: newPCTable()}
+		pc: newPCTable(), root: nodeSolver{p: p}, dropped: math.Inf(1)}
 	s.ctx, s.lpCtx = ctx, ctx
 	if opt.TimeLimit > 0 {
 		// Soft deadline for the LP relaxations: an expensive node used to
@@ -706,21 +718,39 @@ func (s *solver) stopRequested() bool {
 	return s.opt.Stop != nil && s.opt.Stop()
 }
 
-// applyChanges sets node bounds on p and returns an undo function. It is
-// a free function over an explicit problem because the parallel workers
-// apply node paths to their own problem clones, not the shared root.
-func applyChanges(p *lp.Problem, changes []Bound) func() {
-	old := make([]Bound, len(changes))
-	for i, ch := range changes {
-		lo, hi := p.Bounds(ch.Col)
-		old[i] = Bound{Col: ch.Col, Lo: lo, Hi: hi}
-		p.SetBounds(ch.Col, ch.Lo, ch.Hi)
+// nodeSolver solves node relaxations on one problem with one LP
+// workspace for the whole search: the serial solver has one, and each
+// parallel worker owns one over its private problem clone. Its buffers
+// make applying a node's bound path allocation-free.
+type nodeSolver struct {
+	p     *lp.Problem
+	ws    lp.Workspace
+	path  []*node
+	saved []Bound
+}
+
+// solve applies nd's bounds to the problem, solves the relaxation warm
+// from nd's parent basis and restores the bounds.
+func (w *nodeSolver) solve(ctx context.Context, nd *node, opt lp.Options) (*lp.Result, error) {
+	w.path = w.path[:0]
+	for n := nd; n != nil; n = n.parent {
+		w.path = append(w.path, n)
 	}
-	return func() {
-		for i := len(old) - 1; i >= 0; i-- {
-			p.SetBounds(old[i].Col, old[i].Lo, old[i].Hi)
+	w.saved = w.saved[:0]
+	for i := len(w.path) - 1; i >= 0; i-- {
+		for _, ch := range w.path[i].changes {
+			lo, hi := w.p.Bounds(ch.Col)
+			w.saved = append(w.saved, Bound{Col: ch.Col, Lo: lo, Hi: hi})
+			w.p.SetBounds(ch.Col, ch.Lo, ch.Hi)
 		}
 	}
+	res, err := w.ws.SolveFrom(ctx, w.p, nd.basis, opt)
+	for i := len(w.saved) - 1; i >= 0; i-- {
+		b := w.saved[i]
+		w.p.SetBounds(b.Col, b.Lo, b.Hi)
+	}
+	clear(w.path) // do not pin finished nodes
+	return res, err
 }
 
 func (s *solver) run() (*Result, error) {
@@ -765,9 +795,7 @@ func (s *solver) run() (*Result, error) {
 			s.cPruned.Inc()
 			continue
 		}
-		undo := applyChanges(s.p, nd.changes)
-		res, err := s.p.SolveFromCtx(s.lpCtx, nd.basis, s.opt.LP)
-		undo()
+		res, err := s.root.solve(s.lpCtx, nd, s.opt.LP)
 		if err != nil {
 			if errors.Is(err, lp.ErrCanceled) {
 				if s.ctx.Err() != nil {
@@ -786,6 +814,7 @@ func (s *solver) run() (*Result, error) {
 			}
 			return nil, err
 		}
+		nd.basis = nil
 		s.nodes++
 		s.countLP(res)
 		if s.nodes%s.opt.ProgressEvery == 0 {
@@ -800,9 +829,9 @@ func (s *solver) run() (*Result, error) {
 			}
 			continue // cannot happen below the root with finite branching bounds
 		case lp.IterationLimit:
-			// Treat as unexplorable but keep correctness: without a valid
-			// bound we must not prune, so re-solving cold already happened
-			// inside SolveFrom; give up on proving this subtree.
+			// The subtree cannot be explored (SolveFrom already retried
+			// cold): give up on proving it, but keep its bound.
+			s.drop(nd)
 			limited = true
 			continue
 		}
@@ -819,7 +848,7 @@ func (s *solver) run() (*Result, error) {
 			}
 			continue
 		}
-		if nd.depth == 0 && len(nd.changes) == 0 && s.opt.RootCutRounds > 0 {
+		if nd.parent == nil && s.opt.RootCutRounds > 0 {
 			// Cut-and-branch: tighten the root relaxation with cover cuts.
 			tightened, nCuts, err := s.addRootCuts(res, s.opt.RootCutRounds)
 			if err != nil {
@@ -856,52 +885,7 @@ func (s *solver) run() (*Result, error) {
 		if s.gapReached(bound) {
 			continue
 		}
-		// Branch: a custom brancher may divide the node; otherwise
-		// branch on the most fractional column.
-		var children [][]Bound
-		if s.opt.Brancher != nil {
-			children = s.opt.Brancher(res.X)
-		}
-		if len(children) == 0 {
-			if pc := s.pickBranchColumn(res.X); pc >= 0 {
-				branchCol = pc
-			}
-			v := res.X[branchCol]
-			f := v - math.Floor(v)
-			lo, hi := boundsAfter(s.p, nd.changes, branchCol)
-			down := &node{
-				bound: res.Objective, depth: nd.depth + 1, seq: seq,
-				changes: append(append([]Bound(nil), nd.changes...),
-					Bound{Col: branchCol, Lo: lo, Hi: math.Floor(v)}),
-				basis:     res.Basis,
-				branchCol: branchCol, branchUp: false, branchFrac: f,
-			}
-			seq++
-			up := &node{
-				bound: res.Objective, depth: nd.depth + 1, seq: seq,
-				changes: append(append([]Bound(nil), nd.changes...),
-					Bound{Col: branchCol, Lo: math.Ceil(v), Hi: hi}),
-				basis:     res.Basis,
-				branchCol: branchCol, branchUp: true, branchFrac: 1 - f,
-			}
-			seq++
-			// Plunge toward the nearer side first (smaller seq wins ties).
-			if f > 0.5 {
-				down.seq, up.seq = up.seq, down.seq
-			}
-			heap.Push(queue, down)
-			heap.Push(queue, up)
-			continue
-		}
-		for _, ch := range children {
-			heap.Push(queue, &node{
-				bound: res.Objective, depth: nd.depth + 1, seq: seq,
-				changes:   append(append([]Bound(nil), nd.changes...), ch...),
-				basis:     res.Basis,
-				branchCol: -1,
-			})
-			seq++
-		}
+		s.branch(queue, &seq, nd, res, branchCol)
 	}
 
 	switch {
@@ -911,21 +895,32 @@ func (s *solver) run() (*Result, error) {
 		// Queue drained under a gap limit: incumbent is within the gap.
 		return s.result(Optimal), nil
 	case s.haveInc:
-		r := s.result(Feasible)
-		// Best bound = min over remaining open nodes (or incumbent).
-		bb := s.incumbentObj
-		for _, nd := range *queue {
-			if b := s.strengthen(nd.bound); b < bb {
-				bb = b
-			}
-		}
-		r.BestBound = bb
-		return r, nil
+		return s.feasible(), nil
 	case limited:
 		return s.result(NoSolution), nil
 	default:
 		return s.result(Infeasible), nil
 	}
+}
+
+// drop records a node whose subtree is abandoned unexplored; its bound
+// stays in the best-bound proof (caller holds the pool lock in parallel
+// paths).
+func (s *solver) drop(nd *node) {
+	s.dropped = math.Min(s.dropped, nd.bound)
+}
+
+// feasible is the result of a search that stopped with an incumbent but
+// without an optimality proof. Its best bound is the minimum over the
+// incumbent, the open nodes and the dropped ones: only what was proved.
+func (s *solver) feasible() *Result {
+	r := s.result(Feasible)
+	bb := math.Min(s.incumbentObj, s.strengthen(s.dropped))
+	for _, nd := range *s.queue {
+		bb = math.Min(bb, s.strengthen(nd.bound))
+	}
+	r.BestBound = bb
+	return r
 }
 
 // countLP merges one relaxation result into the solver telemetry and the
@@ -990,16 +985,17 @@ func (s *solver) result(st Status) *Result {
 	return r
 }
 
-// boundsAfter returns the effective bounds of col after the node's
-// changes (the global problem currently holds root bounds).
-func boundsAfter(p *lp.Problem, changes []Bound, col int) (float64, float64) {
-	lo, hi := p.Bounds(col)
-	for _, ch := range changes {
-		if ch.Col == col {
-			lo, hi = ch.Lo, ch.Hi
+// boundsAfter returns the effective bounds of col at node nd: the
+// deepest change to col on nd's path, or the root problem's bounds.
+func boundsAfter(p *lp.Problem, nd *node, col int) (float64, float64) {
+	for n := nd; n != nil; n = n.parent {
+		for i := len(n.changes) - 1; i >= 0; i-- {
+			if ch := n.changes[i]; ch.Col == col {
+				return ch.Lo, ch.Hi
+			}
 		}
 	}
-	return lo, hi
+	return p.Bounds(col)
 }
 
 // checkRows verifies a point against all rows of the problem. It is used

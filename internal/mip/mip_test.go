@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/lp"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -305,7 +306,7 @@ func TestRandomBinaryProblemsMatchBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 120)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -351,7 +352,7 @@ func TestRandomIntegerProblemsMatchBruteForce(t *testing.T) {
 		rec(0, 0, 0)
 		return math.Abs(res.Objective-best) <= 1e-6
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 80)); err != nil {
 		t.Fatal(err)
 	}
 }

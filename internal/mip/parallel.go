@@ -15,11 +15,12 @@ import (
 
 // Parallel branch and bound: N workers pull nodes off a shared
 // mutex-guarded best-bound heap, solve each node's LP relaxation on a
-// private clone of the (cut-tightened) root problem, and push children
-// back. Incumbent objectives are mirrored in an atomic word so workers
-// can prune mid-pipeline without taking the pool lock; all structural
-// state (queue, incumbent vector, logs, telemetry) lives under one
-// mutex, which is cheap because LP solves dominate the per-node cost.
+// private clone of the (cut-tightened) root problem with a private LP
+// workspace, and push children back. Incumbent objectives are mirrored
+// in an atomic word so workers can prune mid-pipeline without taking
+// the pool lock; all structural state (queue, incumbent vector, logs,
+// telemetry) lives under one mutex, which is cheap because LP solves
+// dominate the per-node cost.
 //
 // The root node is processed serially first (root relaxation, cover
 // cuts, heuristic, initial branching) with exactly the serial solver's
@@ -81,15 +82,20 @@ func (s *solver) runParallel() (*Result, error) {
 	// problem concurrently (read-only); force the lazy coalesce now.
 	s.p.Freeze()
 
+	// Clone for every worker before any starts: the clones share the
+	// frozen column storage, and Clone may still cap it on the first call.
+	workers := make([]nodeSolver, s.opt.Workers)
+	for id := range workers {
+		workers[id].p = s.p.Clone()
+	}
 	var wg sync.WaitGroup
-	for id := 0; id < s.opt.Workers; id++ {
-		wp := s.p.Clone()
+	for id := range workers {
 		wg.Add(1)
 		s.cWorkers.Inc()
-		go func(id int, wp *lp.Problem) {
+		go func(id int) {
 			defer wg.Done()
-			b.worker(id, wp)
-		}(id, wp)
+			b.worker(id, &workers[id])
+		}(id)
 	}
 	wg.Wait()
 
@@ -103,16 +109,7 @@ func (s *solver) runParallel() (*Result, error) {
 		// Queue drained under a gap limit: incumbent is within the gap.
 		return s.result(Optimal), nil
 	case s.haveInc:
-		r := s.result(Feasible)
-		// Best bound = min over remaining open nodes (or incumbent).
-		bb := s.incumbentObj
-		for _, nd := range *queue {
-			if bd := s.strengthen(nd.bound); bd < bb {
-				bb = bd
-			}
-		}
-		r.BestBound = bb
-		return r, nil
+		return s.feasible(), nil
 	case b.limited:
 		return s.result(NoSolution), nil
 	default:
@@ -124,7 +121,7 @@ func (s *solver) runParallel() (*Result, error) {
 // (including cut-and-branch, which mutates s.p before workers clone it).
 // done=true means the solve terminated at the root.
 func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
-	res, err := s.p.SolveFromCtx(s.lpCtx, nil, s.opt.LP)
+	res, err := s.root.ws.SolveFrom(s.lpCtx, s.p, nil, s.opt.LP)
 	if err != nil {
 		if errors.Is(err, lp.ErrCanceled) {
 			if s.ctx.Err() != nil {
@@ -151,9 +148,7 @@ func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
 		return true, s.result(Unbounded), nil
 	case lp.IterationLimit:
 		if s.haveInc {
-			r := s.result(Feasible)
-			r.BestBound = s.incumbentObj // no open nodes to bound from
-			return true, r, nil
+			return true, s.result(Feasible), nil // root bound unproven
 		}
 		return true, s.result(NoSolution), nil
 	}
@@ -207,14 +202,20 @@ func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
 	if s.gapReached(bound) {
 		return true, s.result(Optimal), nil
 	}
-	s.branch(b, &node{bound: math.Inf(-1), branchCol: -1}, res, branchCol)
+	s.branch(b.queue, &b.seq, &node{bound: math.Inf(-1), branchCol: -1}, res, branchCol)
 	return false, nil, nil
 }
 
 // branch pushes the children of nd (solved to res, most fractional
-// column branchCol) onto the queue. Callers hold b.mu except during the
-// single-threaded root phase.
-func (s *solver) branch(b *pbb, nd *node, res *lp.Result, branchCol int) {
+// column branchCol) onto queue, numbering them from *seq. Parallel
+// callers hold b.mu.
+func (s *solver) branch(queue *nodeQueue, seq *int, nd *node, res *lp.Result, branchCol int) {
+	child := func(changes []Bound) *node {
+		c := &node{bound: res.Objective, depth: nd.depth + 1, seq: *seq,
+			parent: nd, changes: changes, basis: res.Basis, branchCol: -1}
+		*seq++
+		return c
+	}
 	var children [][]Bound
 	if s.opt.Brancher != nil {
 		children = s.opt.Brancher(res.X)
@@ -225,39 +226,21 @@ func (s *solver) branch(b *pbb, nd *node, res *lp.Result, branchCol int) {
 		}
 		v := res.X[branchCol]
 		f := v - math.Floor(v)
-		lo, hi := boundsAfter(s.p, nd.changes, branchCol)
-		down := &node{
-			bound: res.Objective, depth: nd.depth + 1, seq: b.seq,
-			changes: append(append([]Bound(nil), nd.changes...),
-				Bound{Col: branchCol, Lo: lo, Hi: math.Floor(v)}),
-			basis:     res.Basis,
-			branchCol: branchCol, branchUp: false, branchFrac: f,
-		}
-		b.seq++
-		up := &node{
-			bound: res.Objective, depth: nd.depth + 1, seq: b.seq,
-			changes: append(append([]Bound(nil), nd.changes...),
-				Bound{Col: branchCol, Lo: math.Ceil(v), Hi: hi}),
-			basis:     res.Basis,
-			branchCol: branchCol, branchUp: true, branchFrac: 1 - f,
-		}
-		b.seq++
+		lo, hi := boundsAfter(s.p, nd, branchCol)
+		down := child([]Bound{{Col: branchCol, Lo: lo, Hi: math.Floor(v)}})
+		down.branchCol, down.branchUp, down.branchFrac = branchCol, false, f
+		up := child([]Bound{{Col: branchCol, Lo: math.Ceil(v), Hi: hi}})
+		up.branchCol, up.branchUp, up.branchFrac = branchCol, true, 1-f
 		// Plunge toward the nearer side first (smaller seq wins ties).
 		if f > 0.5 {
 			down.seq, up.seq = up.seq, down.seq
 		}
-		heap.Push(b.queue, down)
-		heap.Push(b.queue, up)
+		heap.Push(queue, down)
+		heap.Push(queue, up)
 		return
 	}
 	for _, ch := range children {
-		heap.Push(b.queue, &node{
-			bound: res.Objective, depth: nd.depth + 1, seq: b.seq,
-			changes:   append(append([]Bound(nil), nd.changes...), ch...),
-			basis:     res.Basis,
-			branchCol: -1,
-		})
-		b.seq++
+		heap.Push(queue, child(append([]Bound(nil), ch...)))
 	}
 }
 
@@ -269,9 +252,9 @@ func (s *solver) noteDeadline() {
 	s.trace.Emit("mip.deadline", obs.Int("node", int64(s.nodes)))
 }
 
-// worker is one branch-and-bound worker loop. wp is its private problem
-// clone; id keys its inFlight entry.
-func (b *pbb) worker(id int, wp *lp.Problem) {
+// worker is one branch-and-bound worker loop. w owns its private problem
+// clone and LP workspace; id keys its inFlight entry.
+func (b *pbb) worker(id int, w *nodeSolver) {
 	s := b.s
 	for {
 		b.mu.Lock()
@@ -330,11 +313,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 		b.outstanding++
 		b.mu.Unlock()
 
-		res, err := func() (*lp.Result, error) {
-			undo := applyChanges(wp, nd.changes)
-			defer undo()
-			return wp.SolveFromCtx(s.lpCtx, nd.basis, s.opt.LP)
-		}()
+		res, err := w.solve(s.lpCtx, nd, s.opt.LP)
 
 		// Lock-free post-processing: everything that only reads immutable
 		// state (options, integer set, frozen root problem) runs before
@@ -385,6 +364,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 			b.mu.Unlock()
 			return
 		}
+		nd.basis = nil
 		s.nodes++
 		s.countLP(res)
 		if s.nodes%s.opt.ProgressEvery == 0 {
@@ -405,8 +385,9 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 			advance()
 			continue
 		case lp.IterationLimit:
-			// No valid bound for this subtree: we must not prune it, and we
-			// cannot explore it — give up on proving optimality.
+			// The subtree cannot be explored: give up on proving
+			// optimality, but keep its bound.
+			s.drop(nd)
 			b.limited = true
 			advance()
 			continue
@@ -435,7 +416,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 			advance()
 			continue
 		}
-		s.branch(b, nd, res, branchCol)
+		s.branch(b.queue, &b.seq, nd, res, branchCol)
 		advance()
 	}
 }

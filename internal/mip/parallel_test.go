@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/lp"
 	"repro/internal/obs"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -84,7 +85,7 @@ func TestParallelRandomBinaryProblemsMatchBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

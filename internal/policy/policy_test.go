@@ -7,6 +7,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -201,7 +202,7 @@ func TestBuildFeasibilityProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,7 +224,7 @@ func TestFirstJobTightProperty(t *testing.T) {
 		want, _ := base.EarliestFit(0, jb.Estimate, jb.Width)
 		return s.Find(1).Start == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

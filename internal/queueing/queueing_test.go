@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -198,7 +199,7 @@ func TestQueueingInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 80)); err != nil {
 		t.Fatal(err)
 	}
 }

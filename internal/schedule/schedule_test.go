@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/machine"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -205,7 +206,7 @@ func TestCompactNeverDelays(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 120)); err != nil {
 		t.Fatal(err)
 	}
 }

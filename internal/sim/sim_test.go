@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -361,7 +362,7 @@ func TestSimulationInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quickcheck"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -144,7 +146,7 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		return len(p) == m
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,7 +193,7 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		s := Summarize(clean)
 		return s.Min <= s.Median && s.Median <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +252,7 @@ func TestHistogramPartitionProperty(t *testing.T) {
 		}
 		return sum == n && h.Total == n
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

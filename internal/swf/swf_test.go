@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/job"
+	"repro/internal/quickcheck"
 	"repro/internal/stats"
 )
 
@@ -156,7 +157,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		return res.Trace.Validate() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -176,7 +177,7 @@ func TestParseNeverPanics(t *testing.T) {
 		}
 		return res.Trace.Validate() == nil || len(res.Trace.Jobs) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 	// Structured near-miss inputs.

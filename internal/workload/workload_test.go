@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quickcheck"
 )
 
 func TestCTCConfigValid(t *testing.T) {
@@ -193,7 +195,7 @@ func TestGenerateProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickcheck.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
