@@ -48,6 +48,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/solvepipe"
@@ -150,15 +151,17 @@ func main() {
 	}
 	if *ilpDriven {
 		cfg.ILP = &sim.ILPConfig{
-			Pipe: solvepipe.Config{
-				Budget:      *budget,
-				Retries:     *retries,
-				Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
-				MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
-				PresolveOff: !*presolve,
+			ILPConfig: plan.ILPConfig{
+				Pipe: solvepipe.Config{
+					Budget:      *budget,
+					Retries:     *retries,
+					Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
+					MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
+					PresolveOff: !*presolve,
+				},
+				StepCacheOff: !*stepCache,
 			},
-			Fallback:     *fallback,
-			StepCacheOff: !*stepCache,
+			Fallback: *fallback,
 		}
 	}
 	if *verbose {

@@ -80,6 +80,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedd"
 	"repro/internal/shard"
@@ -198,6 +199,24 @@ func main() {
 		flush()
 	}
 
+	// ilpConfig is one core's -ilp configuration.
+	ilpConfig := func() *schedd.ILPConfig {
+		return &schedd.ILPConfig{
+			ILPConfig: plan.ILPConfig{
+				Pipe: solvepipe.Config{
+					Budget:      *budget,
+					Retries:     *retries,
+					Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
+					MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
+					PresolveOff: !*presolve,
+				},
+				StepCacheOff: !*stepCache,
+			},
+			Anytime:       *anytimeOn,
+			AnytimeBudget: *anytimeBud,
+		}
+	}
+
 	if *shards > 1 {
 		if *faultP > 0 && !*ilpDriven {
 			fail(fmt.Errorf("-inject-faults requires -ilp (there is no solve pipeline to fault)"))
@@ -247,18 +266,7 @@ func main() {
 				PlanLatencyWindow: *rebalWin,
 			}
 			if *ilpDriven {
-				c.ILP = &schedd.ILPConfig{
-					Pipe: solvepipe.Config{
-						Budget:      *budget,
-						Retries:     *retries,
-						Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
-						MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
-						PresolveOff: !*presolve,
-					},
-					StepCacheOff:  !*stepCache,
-					Anytime:       *anytimeOn,
-					AnytimeBudget: *anytimeBud,
-				}
+				c.ILP = ilpConfig()
 				var hook func(solvepipe.SolveFunc) solvepipe.SolveFunc
 				if *faultP > 0 {
 					inj := faultinject.New(faultinject.NewProbability(*faultSeed+uint64(idx), *faultP))
@@ -412,18 +420,7 @@ func main() {
 		PanicHook:     panicDump,
 	}
 	if *ilpDriven {
-		cfg.ILP = &schedd.ILPConfig{
-			Pipe: solvepipe.Config{
-				Budget:      *budget,
-				Retries:     *retries,
-				Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
-				MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
-				PresolveOff: !*presolve,
-			},
-			StepCacheOff:  !*stepCache,
-			Anytime:       *anytimeOn,
-			AnytimeBudget: *anytimeBud,
-		}
+		cfg.ILP = ilpConfig()
 		if *faultP > 0 {
 			inj := faultinject.New(faultinject.NewProbability(*faultSeed, *faultP))
 			cfg.ILP.Pipe.Hook = inj.Hook

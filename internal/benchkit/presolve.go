@@ -16,6 +16,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/mip"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -64,24 +65,15 @@ func SampledCTCSteps(max int) ([]*StepInstance, error) {
 			if (eligible-1)%2 != 0 {
 				return
 			}
-			var horizon int64
+			inst := plan.Instance(sc.Now, sc.Base, sc.Waiting, plan.Horizon(sc.Result.Evals))
+			if inst == nil {
+				return
+			}
 			var seeds []*schedule.Schedule
 			for _, e := range sc.Result.Evals {
 				seeds = append(seeds, e.Schedule)
-				if mk := e.Schedule.Makespan(); mk > horizon {
-					horizon = mk
-				}
 			}
-			if horizon <= sc.Now {
-				return
-			}
-			sampleSteps = append(sampleSteps, &StepInstance{
-				Inst: &ilpsched.Instance{
-					Now: sc.Now, Machine: sc.Base.Total(), Base: sc.Base,
-					Jobs: sc.Waiting, Horizon: horizon,
-				},
-				Seeds: seeds,
-			})
+			sampleSteps = append(sampleSteps, &StepInstance{Inst: inst, Seeds: seeds})
 		}
 		sched := dynp.MustNew(policy.Standard(), metrics.SLDwA{}, dynp.AdvancedDecider{})
 		s, err := sim.New(tr, sched, cfg)
@@ -231,16 +223,18 @@ func RecurringTrace(periods int) *job.Trace {
 func reuseSimResult(reuse bool) (*sim.Result, error) {
 	tr := RecurringTrace(10)
 	ilp := &sim.ILPConfig{
-		Pipe: solvepipe.Config{
-			Budget:     2 * time.Second,
-			Retries:    1,
-			FixedScale: stepSampleScale,
-			Limit:      ilpsched.SizeLimit{MaxVariables: 250000},
-			MIP:        mip.Options{MaxNodes: 3000},
+		ILPConfig: plan.ILPConfig{
+			Pipe: solvepipe.Config{
+				Budget:     2 * time.Second,
+				Retries:    1,
+				FixedScale: stepSampleScale,
+				Limit:      ilpsched.SizeLimit{MaxVariables: 250000},
+				MIP:        mip.Options{MaxNodes: 3000},
+			},
+			StepCacheOff: !reuse,
+			ReuseOff:     !reuse,
 		},
-		Fallback:     true,
-		StepCacheOff: !reuse,
-		ReuseOff:     !reuse,
+		Fallback: true,
 	}
 	cfg := sim.DefaultConfig()
 	cfg.ILP = ilp

@@ -13,6 +13,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedd"
 	"repro/internal/shard"
@@ -139,32 +140,8 @@ func ServingBench(cfg ServingConfig) (*loadgen.Result, *schedd.Counters, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	scfg := schedd.Config{
-		Machine:     tr.Processors,
-		Scheduler:   sched,
-		Clock:       schedd.NewWallClock(cfg.Accel),
-		QueueBound:  cfg.QueueBound,
-		MaxBatch:    1,
-		SLOMargin:   cfg.SLOMargin,
-		TwinGateOff: cfg.TwinGateOff,
-		Metrics:     obs.NewRegistry(),
-	}
-	if cfg.Batching {
-		scfg.MaxBatch = 64
-		scfg.MaxBatchDelay = 5 * time.Millisecond
-	}
-	if cfg.AdaptiveBatch {
-		scfg.MaxBatch = 128
-		scfg.MaxBatchDelay = 2 * time.Second
-		scfg.AdaptiveBatch = true
-	}
-	if cfg.Budget > 0 || cfg.Anytime {
-		scfg.ILP = &schedd.ILPConfig{
-			Pipe:          solvepipe.Config{Budget: cfg.Budget},
-			Anytime:       cfg.Anytime,
-			AnytimeBudget: cfg.AnytimeBudget,
-		}
-	}
+	scfg := cfg.coreConfig(sched, cfg.Seed)
+	scfg.Machine = tr.Processors
 	var walLog *wal.Log
 	if cfg.WAL {
 		dir, err := os.MkdirTemp("", "benchwal-serving")
@@ -182,16 +159,6 @@ func ServingBench(cfg ServingConfig) (*loadgen.Result, *schedd.Counters, error) 
 		}
 		defer walLog.Close()
 		scfg.WAL = walLog
-	}
-	if cfg.FaultP > 0 {
-		inj := faultinject.New(faultinject.NewProbability(cfg.Seed, cfg.FaultP))
-		scfg.ILP = &schedd.ILPConfig{
-			Pipe: solvepipe.Config{
-				Budget:  200 * time.Millisecond,
-				Retries: 1,
-				Hook:    inj.Hook,
-			},
-		}
 	}
 	core, err := schedd.New(scfg)
 	if err != nil {
@@ -221,6 +188,45 @@ func ServingBench(cfg ServingConfig) (*loadgen.Result, *schedd.Counters, error) 
 	return res, &final.Counts, nil
 }
 
+// coreConfig is one serving core's configuration for the benchmark
+// legs; faultSeed seeds its solve-fault injection.
+func (cfg ServingConfig) coreConfig(sched *dynp.Scheduler, faultSeed uint64) schedd.Config {
+	scfg := schedd.Config{
+		Scheduler:   sched,
+		Clock:       schedd.NewWallClock(cfg.Accel),
+		QueueBound:  cfg.QueueBound,
+		MaxBatch:    1,
+		SLOMargin:   cfg.SLOMargin,
+		TwinGateOff: cfg.TwinGateOff,
+		Metrics:     obs.NewRegistry(),
+	}
+	if cfg.Batching {
+		scfg.MaxBatch = 64
+		scfg.MaxBatchDelay = 5 * time.Millisecond
+	}
+	if cfg.AdaptiveBatch {
+		scfg.MaxBatch = 128
+		scfg.MaxBatchDelay = 2 * time.Second
+		scfg.AdaptiveBatch = true
+	}
+	if cfg.Budget > 0 || cfg.Anytime {
+		scfg.ILP = &schedd.ILPConfig{
+			ILPConfig:     plan.ILPConfig{Pipe: solvepipe.Config{Budget: cfg.Budget}},
+			Anytime:       cfg.Anytime,
+			AnytimeBudget: cfg.AnytimeBudget,
+		}
+	}
+	if cfg.FaultP > 0 {
+		inj := faultinject.New(faultinject.NewProbability(faultSeed, cfg.FaultP))
+		scfg.ILP = &schedd.ILPConfig{ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
+			Budget:  200 * time.Millisecond,
+			Retries: 1,
+			Hook:    inj.Hook,
+		}}}
+	}
+	return scfg
+}
+
 // shardedServingBench is the Shards > 1 leg: the same replay served by
 // the sharded fabric, each shard a full core with its own replan loop
 // (and, with WAL, its own log namespace). Apart from the partitioning
@@ -242,41 +248,7 @@ func shardedServingBench(cfg ServingConfig, tr *job.Trace, pols []policy.Policy,
 		if err != nil {
 			return schedd.Config{}, err
 		}
-		scfg := schedd.Config{
-			Scheduler:   sched,
-			Clock:       schedd.NewWallClock(cfg.Accel),
-			QueueBound:  cfg.QueueBound,
-			MaxBatch:    1,
-			SLOMargin:   cfg.SLOMargin,
-			TwinGateOff: cfg.TwinGateOff,
-			Metrics:     obs.NewRegistry(),
-		}
-		if cfg.Budget > 0 || cfg.Anytime {
-			scfg.ILP = &schedd.ILPConfig{
-				Pipe:          solvepipe.Config{Budget: cfg.Budget},
-				Anytime:       cfg.Anytime,
-				AnytimeBudget: cfg.AnytimeBudget,
-			}
-		}
-		if cfg.Batching {
-			scfg.MaxBatch = 64
-			scfg.MaxBatchDelay = 5 * time.Millisecond
-		}
-		if cfg.AdaptiveBatch {
-			scfg.MaxBatch = 128
-			scfg.MaxBatchDelay = 2 * time.Second
-			scfg.AdaptiveBatch = true
-		}
-		if cfg.FaultP > 0 {
-			inj := faultinject.New(faultinject.NewProbability(cfg.Seed+uint64(idx), cfg.FaultP))
-			scfg.ILP = &schedd.ILPConfig{
-				Pipe: solvepipe.Config{
-					Budget:  200 * time.Millisecond,
-					Retries: 1,
-					Hook:    inj.Hook,
-				},
-			}
-		}
+		scfg := cfg.coreConfig(sched, cfg.Seed+uint64(idx))
 		if walRoot != "" {
 			fsyncEvery := cfg.WALFsyncEvery
 			if fsyncEvery <= 0 {

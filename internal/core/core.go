@@ -23,6 +23,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/mip"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -138,21 +139,9 @@ func (c *Comparator) CompareStep(sc *sim.StepContext) (*Comparison, error) {
 		return nil, nil
 	}
 	best := bestEvaluation(c.Metric, sc.Result.Evals)
-	var horizon int64
-	for _, e := range sc.Result.Evals {
-		if mk := e.Schedule.Makespan(); mk > horizon {
-			horizon = mk
-		}
-	}
-	if horizon <= sc.Now {
+	inst := plan.Instance(sc.Now, sc.Base, sc.Waiting, plan.Horizon(sc.Result.Evals))
+	if inst == nil {
 		return nil, nil
-	}
-	inst := &ilpsched.Instance{
-		Now:     sc.Now,
-		Machine: sc.Base.Total(),
-		Base:    sc.Base,
-		Jobs:    sc.Waiting,
-		Horizon: horizon,
 	}
 	scale := c.FixedScale
 	if scale <= 0 {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/ilpsched"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/schedule"
 	"repro/internal/solvepipe"
 )
@@ -49,19 +50,15 @@ func (c *Core) pushAnytime() {
 		idle()
 		return
 	}
-	horizon := seed.Makespan()
-	if horizon <= now {
-		idle() // every waiting job starts now; nothing to reorder
-		return
-	}
-	base, err := c.baseProfile(now)
+	base, err := plan.Base(c.kernel, now, c.running)
 	if err != nil {
 		idle()
 		return
 	}
-	inst := &ilpsched.Instance{
-		Now: now, Machine: c.total, Base: base,
-		Jobs: c.waitingSlice(), Horizon: horizon,
+	inst := plan.Instance(now, base, plan.Waiting(c.waiting), seed.Makespan())
+	if inst == nil {
+		idle() // every waiting job starts now; nothing to reorder
+		return
 	}
 	fp := solvepipe.Fingerprint(inst)
 	c.lastAnyInst, c.lastAnyFp = inst, fp
@@ -96,25 +93,25 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 	if c.any == nil {
 		return nil
 	}
-	plan := c.any.Best()
-	if plan == nil || plan.Seq <= c.lastAnySeq {
+	p := c.any.Best()
+	if p == nil || p.Seq <= c.lastAnySeq {
 		return nil // already inspected (several nudges can coalesce)
 	}
-	c.lastAnySeq = plan.Seq
+	c.lastAnySeq = p.Seq
 	// Staleness gate: the plan must name the problem the writer pushed
 	// last. The fingerprint covers the relative problem shape, Now pins
 	// the absolute frame, and the per-entry check below pins the exact
 	// job identities (fingerprints are shape-based by design, so two
 	// different queues could collide on one).
-	if c.lastAnyInst == nil || plan.Fingerprint != c.lastAnyFp || plan.Now != c.lastAnyInst.Now {
+	if c.lastAnyInst == nil || p.Fingerprint != c.lastAnyFp || p.Now != c.lastAnyInst.Now {
 		c.cAnyStale.Inc()
 		return nil
 	}
-	if len(plan.Schedule.Entries) != len(c.waiting) {
+	if len(p.Schedule.Entries) != len(c.waiting) {
 		c.cAnyStale.Inc()
 		return nil
 	}
-	for _, e := range plan.Schedule.Entries {
+	for _, e := range p.Schedule.Entries {
 		if _, ok := c.waiting[e.Job.ID]; !ok {
 			c.cAnyStale.Inc()
 			return nil
@@ -131,7 +128,7 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 	}
 	// Feasibility against the pushed base (the base cannot have changed
 	// since the push without the fingerprint changing with it).
-	if err := plan.Schedule.Validate(c.lastAnyInst.Base); err != nil {
+	if err := p.Schedule.Validate(c.lastAnyInst.Base); err != nil {
 		c.cAnyRejected.Inc()
 		c.trace.Emit("anytime.adopt.invalid", obs.Int("t", c.vnow), obs.Str("err", err.Error()))
 		return nil
@@ -139,8 +136,8 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 	// Strict improvement over the live plan — an intervening step may
 	// already have adopted something at least as good.
 	cur := c.currentPlanSchedule(c.vnow)
-	if len(cur.Entries) == len(plan.Schedule.Entries) &&
-		plan.Objective >= ilpsched.ObjectiveOfSchedule(cur) {
+	if len(cur.Entries) == len(p.Schedule.Entries) &&
+		p.Objective >= ilpsched.ObjectiveOfSchedule(cur) {
 		c.cAnyRejected.Inc()
 		return nil
 	}
@@ -152,20 +149,20 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 		Policy: c.cfg.Scheduler.Current().Name(), Outcome: "ok",
 	}
 	plannedBefore := len(c.newlyPlanned)
-	c.lastILP = plan.Schedule // the next step's reuse seed
 	c.degraded, c.degReason = false, ""
-	c.adoptPlan(c.vnow, plan.Schedule, false)
+	// Served as an ILP schedule: it seeds the next step's solve.
+	c.adoptPlan(c.trace, c.vnow, &plan.Decision{Schedule: p.Schedule}, p.Schedule, false)
 	c.appendPlanWAL("anytime", c.vnow, 0, false, "", c.newlyPlanned[plannedBefore:])
 	c.cAnyAdopted.Inc()
 	c.trace.Emit("anytime.adopted",
 		obs.Int("t", c.vnow),
-		obs.Int("seq", plan.Seq),
-		obs.Float("objective", plan.Objective),
-		obs.Float("found_ms", float64(plan.FoundAfter)/float64(time.Millisecond)))
+		obs.Int("seq", p.Seq),
+		obs.Float("objective", p.Objective),
+		obs.Float("found_ms", float64(p.FoundAfter)/float64(time.Millisecond)))
 	record.DurMs = float64(time.Since(wallStart)) / float64(time.Millisecond)
 	record.Planned = len(c.newlyPlanned) - plannedBefore
 	c.recordReplan(record)
-	return plan
+	return p
 }
 
 // sloConflicts counts schedule entries that start past the deadline
@@ -199,17 +196,12 @@ func (c *Core) predictStart(now int64, width int, est int64) (int64, bool) {
 			continue
 		}
 		planned[id] = true
-		end := st.Start + st.Estimate
-		if end <= now {
-			end = now + 1
-		}
-		rs = append(rs, machine.Running{JobID: id, Width: st.Width, End: end})
+		rs = append(rs, machine.Running{JobID: id, Width: st.Width, End: st.Start + st.Estimate})
 	}
-	h, err := machine.HistoryFromRunning(c.total, now, rs)
+	p, err := plan.Profile(c.total, now, rs, nil)
 	if err != nil {
 		return 0, false
 	}
-	p := h.Profile(c.total)
 	for _, e := range s.Schedule {
 		start := e.Start
 		if start < now {

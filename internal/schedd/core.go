@@ -26,6 +26,13 @@
 // Time is virtual (trace seconds) via the Clock abstraction, so the
 // same core serves live traffic (wall clock) and accelerated trace
 // replay (internal/loadgen).
+//
+// The core is an online driver of the planning kernel (internal/plan),
+// the same kernel the batch simulator drives: machine history, queue
+// order, due starts, the ILP decision and the reuse seed live there, so
+// on one trace the service and the simulator adopt the same plans. The
+// core keeps the serving bookkeeping around them: the step SLO guard,
+// degradation reason classes, flight-recorder attempts and WAL records.
 package schedd
 
 import (
@@ -42,10 +49,9 @@ import (
 	"repro/internal/dynp"
 	"repro/internal/ilpsched"
 	"repro/internal/job"
-	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/schedule"
-	"repro/internal/solvepipe"
 	"repro/internal/wal"
 )
 
@@ -219,20 +225,13 @@ type Snapshot struct {
 	Counts Counters `json:"counts"`
 }
 
-// ILPConfig enables ILP-driven steps: every self-tuning step is solved
-// through the solvepipe retry ladder and the compacted optimal schedule
-// replaces the basic-policy one. Unlike sim.ILPConfig there is no
-// abort-on-failure mode: a serving process always degrades gracefully.
+// ILPConfig enables ILP-driven steps: every self-tuning step goes
+// through the planning kernel's ILP decision (plan.ILPConfig) and the
+// compacted optimal schedule replaces the basic-policy one. Unlike
+// sim.ILPConfig there is no abort-on-failure mode: a serving process
+// always degrades gracefully.
 type ILPConfig struct {
-	// Pipe parameterizes the retry ladder; Trace/Metrics/Seed/Cache
-	// default per step like in the simulator.
-	Pipe solvepipe.Config
-	// StepCacheOff disables the cross-step solution cache.
-	StepCacheOff bool
-	// StepCacheSize overrides the cache capacity (default 64).
-	StepCacheSize int
-	// ReuseOff disables seeding from the previous step's ILP schedule.
-	ReuseOff bool
+	plan.ILPConfig
 	// Anytime runs the background anytime-optimizer core alongside the
 	// per-step solves: the branch and bound keeps improving the adopted
 	// plan between replan intervals, and every strictly better validated
@@ -391,6 +390,27 @@ type rec struct {
 	sloMiss      bool  // latched on the first plan past the deadline
 }
 
+// Started implements plan.Started for running jobs.
+func (r *rec) Started() (*job.Job, int64) { return r.job, r.start }
+
+// status is the job's queryable state; a waiting job reads as queued
+// until a plan first carries it.
+func (r *rec) status(state JobState) JobStatus {
+	st := JobStatus{
+		ID: r.job.ID, State: state, Width: r.job.Width, Estimate: r.job.Estimate,
+		Submit: r.job.Submit, PlannedStart: r.plannedStart, Start: r.start, End: -1,
+		PlanLatencyMs: float64(r.planLatency) / float64(time.Millisecond),
+		Degraded:      r.degraded, Deadline: r.deadline, SLOMiss: r.sloMiss, TraceID: r.trace,
+	}
+	if state == StateWaiting && !r.planned {
+		st.State, st.PlannedStart, st.PlanLatencyMs, st.Degraded = StateQueued, -1, -1, false
+	}
+	if r.start >= 0 {
+		st.End = r.start + r.job.Runtime
+	}
+	return st
+}
+
 // Core is the scheduling service. Create with New, then Start; submit
 // with Submit; stop with Stop.
 type Core struct {
@@ -445,8 +465,7 @@ type Core struct {
 	recs      map[int]*rec
 	running   map[int]*rec
 	plan      map[int]int64
-	stepCache *solvepipe.StepCache
-	lastILP   *schedule.Schedule
+	kernel    *plan.Kernel
 	version   int64
 	counts    Counters
 	degraded  bool
@@ -568,9 +587,15 @@ func New(cfg Config) (*Core, error) {
 		// log (Start flips the phase to ready once recovery finishes).
 		c.phase.Store(phaseReplaying)
 	}
-	if cfg.ILP != nil && !cfg.ILP.StepCacheOff && cfg.ILP.Pipe.Cache == nil {
-		c.stepCache = solvepipe.NewStepCache(cfg.ILP.StepCacheSize)
+	kcfg := plan.Config{Machine: cfg.Machine, Metrics: cfg.Metrics}
+	if cfg.ILP != nil {
+		kcfg.ILP = &cfg.ILP.ILPConfig
 	}
+	k, err := plan.New(kcfg)
+	if err != nil {
+		return nil, fmt.Errorf("schedd: %v", err)
+	}
+	c.kernel = k
 	c.recorder = newFlightRecorder(cfg.ReplanBuffer)
 	c.trace = cfg.Trace
 	latBounds := []float64{0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000}
@@ -1161,15 +1186,7 @@ func (c *Core) completeDue(t int64) bool {
 		end := r.start + r.job.Runtime
 		c.counts.Completed++
 		c.cEnds.Inc()
-		st := JobStatus{
-			ID: id, State: StateDone, Width: r.job.Width, Estimate: r.job.Estimate,
-			Submit: r.job.Submit, PlannedStart: r.plannedStart, Start: r.start, End: end,
-			PlanLatencyMs: float64(r.planLatency) / float64(time.Millisecond),
-			Degraded:      r.degraded,
-			Deadline:      r.deadline,
-			SLOMiss:       r.sloMiss,
-			TraceID:       r.trace,
-		}
+		st := r.status(StateDone)
 		c.done.Store(id, st)
 		c.walAppend(walComplete, completeWAL{Status: st})
 		c.emitCompleted(st)
@@ -1192,21 +1209,9 @@ func (c *Core) completeDue(t int64) bool {
 // startDue starts every waiting job whose planned start is <= t, in
 // (planned start, ID) order.
 func (c *Core) startDue(t int64) {
-	var due []int
-	for id, start := range c.plan {
-		if start <= t {
-			if _, ok := c.waiting[id]; ok {
-				due = append(due, id)
-			}
-		}
-	}
-	sort.Slice(due, func(i, k int) bool {
-		if c.plan[due[i]] != c.plan[due[k]] {
-			return c.plan[due[i]] < c.plan[due[k]]
-		}
-		return due[i] < due[k]
-	})
-	for _, id := range due {
+	due := plan.Due(c.plan, c.waiting, t)
+	for _, j := range due {
+		id := j.ID
 		r := c.recs[id]
 		delete(c.waiting, id)
 		delete(c.plan, id)
@@ -1230,36 +1235,6 @@ func (c *Core) startDue(t int64) {
 	if len(due) > 0 {
 		c.anyDirty = true
 	}
-}
-
-// baseProfile builds the machine profile of the running jobs at time
-// now with estimated ends (planning never sees actual runtimes).
-func (c *Core) baseProfile(now int64) (*machine.Profile, error) {
-	rs := make([]machine.Running, 0, len(c.running))
-	for _, r := range c.running {
-		end := r.start + r.job.Estimate
-		if end <= now {
-			// Overdue per its own estimate but not completed yet (can
-			// happen when planning catches up after a busy stretch):
-			// keep it occupying capacity for one more second.
-			end = now + 1
-		}
-		rs = append(rs, machine.Running{JobID: r.job.ID, Width: r.job.Width, End: end})
-	}
-	h, err := machine.HistoryFromRunning(c.total, now, rs)
-	if err != nil {
-		return nil, err
-	}
-	return h.Profile(c.total), nil
-}
-
-func (c *Core) waitingSlice() []*job.Job {
-	out := make([]*job.Job, 0, len(c.waiting))
-	for _, j := range c.waiting {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
 }
 
 // step runs one self-tuning step over the batch of new arrivals plus
@@ -1292,7 +1267,7 @@ func (c *Core) step(batch []*submission) {
 	c.counts.BatchedJobs += int64(len(batch))
 	c.cBatches.Inc()
 	c.hBatchSize.Observe(float64(len(batch)))
-	waiting := c.waitingSlice()
+	waiting := plan.Waiting(c.waiting)
 	c.hQueueDepth.Observe(float64(len(waiting)))
 
 	c.stepSeq++
@@ -1325,7 +1300,7 @@ func (c *Core) step(batch []*submission) {
 				obs.Str("trace", sub.trace))
 		}
 	}
-	base, err := c.baseProfile(now)
+	base, err := plan.Base(c.kernel, now, c.running)
 	if err != nil {
 		span.End(obs.Str("status", "error"))
 		c.failStep(fmt.Sprintf("base profile: %v", err))
@@ -1341,6 +1316,7 @@ func (c *Core) step(batch []*submission) {
 	}
 	record.Policy = res.Chosen.Name()
 	adopt := res.Schedule
+	var d *plan.Decision
 	degraded := false
 	reasonClass, reason := "", ""
 	if c.cfg.ILP != nil {
@@ -1351,9 +1327,9 @@ func (c *Core) step(batch []*submission) {
 		if len(record.Traces) == 1 && record.Batch == 1 {
 			ctx = obs.WithTraceID(ctx, record.Traces[0])
 		}
-		var out *solvepipe.Outcome
-		adopt, degraded, reasonClass, reason, out = c.ilpSchedule(ctx, tr, now, res, waiting, base)
-		if out != nil {
+		d = c.kernel.Solve(ctx, tr, now, res, waiting, base)
+		adopt, degraded, reasonClass, reason = c.serveDecision(tr, now, res, d)
+		if out := d.Outcome; out != nil {
 			record.CacheHit = out.CacheHit
 			record.SeedReused = out.IncumbentReused
 			for _, a := range out.Attempts {
@@ -1376,7 +1352,7 @@ func (c *Core) step(batch []*submission) {
 		record.Outcome = "degraded"
 		record.ReasonClass, record.Reason = reasonClass, reason
 	}
-	c.adoptPlan(now, adopt, degraded)
+	c.adoptPlan(tr, now, d, adopt, degraded)
 	c.appendPlanWAL("step", now, len(batch), degraded, reason, c.newlyPlanned[plannedBefore:])
 	span.End(obs.Str("chosen", res.Chosen.Name()), obs.Bool("degraded", degraded))
 }
@@ -1452,128 +1428,38 @@ func (c *Core) failStep(reason string) {
 	c.trace.Emit("schedd.step.failed", obs.Int("t", c.vnow), obs.Str("reason", reason))
 }
 
-// ilpSchedule drives one step through the solve pipeline, always
+// serveDecision picks what a step serves from its ILP decision, always
 // degrading to the basic-policy schedule on failure. It returns the
-// schedule to adopt, the degradation flag, the bounded-cardinality
-// reason class plus free-form detail, and the pipeline outcome (nil
-// when the step never reached the pipeline). A trace ID in ctx rides
-// down into the MIP solve spans; tr is the (possibly sampled-off)
-// tracer for solver-internal events.
-func (c *Core) ilpSchedule(ctx context.Context, tr *obs.Tracer, now int64, res *dynp.StepResult, waiting []*job.Job, base *machine.Profile) (*schedule.Schedule, bool, string, string, *solvepipe.Outcome) {
-	var horizon int64
-	for _, e := range res.Evals {
-		if mk := e.Schedule.Makespan(); mk > horizon {
-			horizon = mk
+// schedule to adopt, the degradation flag, and the bounded-cardinality
+// reason class plus free-form detail.
+func (c *Core) serveDecision(tr *obs.Tracer, now int64, res *dynp.StepResult, d *plan.Decision) (*schedule.Schedule, bool, string, string) {
+	switch {
+	case d.Schedule != nil:
+		// SLO guard: the solver minimizes the aggregate objective with
+		// no notion of per-job deadlines, so its reordering may push an
+		// admitted job past the deadline the twin admitted it under.
+		// When the basic-policy schedule keeps every deadline and the
+		// ILP one does not, serve the policy schedule — a kept SLO
+		// beats a better Eq. 2 objective. (Both busting is still
+		// adopted and latched honestly as a miss.)
+		if n := c.sloConflicts(d.Schedule); n > 0 && c.sloConflicts(res.Schedule) == 0 {
+			c.cSLOGuard.Inc()
+			tr.Emit("step.slo_guard",
+				obs.Int("t", now), obs.Int("conflicts", int64(n)))
+			return res.Schedule, false, "", ""
 		}
+		return d.Schedule, false, "", ""
+	case !d.Failed():
+		return res.Schedule, false, "", "" // every waiting job starts now
+	case !d.Outcome.Failed(): // solved, but the schedule does not fit the base
+		return res.Schedule, true, "invalid_schedule", d.Err.Error()
 	}
-	if horizon <= now {
-		return res.Schedule, false, "", "", nil // every waiting job starts now
-	}
-	inst := &ilpsched.Instance{
-		Now:     now,
-		Machine: base.Total(),
-		Base:    base,
-		Jobs:    waiting,
-		Horizon: horizon,
-	}
-	pipe := c.cfg.ILP.Pipe
-	if pipe.Trace == nil {
-		pipe.Trace = tr
-	}
-	if pipe.Metrics == nil {
-		pipe.Metrics = c.cfg.Metrics
-	}
-	if pipe.Seed == nil {
-		pipe.Seed = res.Schedule
-	}
-	if pipe.Cache == nil {
-		pipe.Cache = c.stepCache
-	}
-	if pipe.ReuseSeed == nil && !c.cfg.ILP.ReuseOff {
-		pipe.ReuseSeed = reuseSeed(c.lastILP, waiting, now, c.total)
-	}
-	out := solvepipe.Solve(ctx, pipe, inst)
-	if !out.Failed() {
-		sch := out.Solution.Compacted
-		if verr := sch.Validate(base); verr == nil {
-			c.lastILP = sch
-			// SLO guard: the solver minimizes the aggregate objective with
-			// no notion of per-job deadlines, so its reordering may push an
-			// admitted job past the deadline the twin admitted it under.
-			// When the basic-policy schedule keeps every deadline and the
-			// ILP one does not, serve the policy schedule — a kept SLO
-			// beats a better Eq. 2 objective. (Both busting is still
-			// adopted and latched honestly as a miss.)
-			if n := c.sloConflicts(sch); n > 0 && c.sloConflicts(res.Schedule) == 0 {
-				c.cSLOGuard.Inc()
-				tr.Emit("step.slo_guard",
-					obs.Int("t", now), obs.Int("conflicts", int64(n)))
-				return res.Schedule, false, "", "", out
-			}
-			return sch, false, "", "", out
-		} else {
-			c.lastILP = nil
-			return res.Schedule, true, "invalid_schedule", fmt.Sprintf("infeasible ILP schedule: %v", verr), out
-		}
-	}
-	c.lastILP = nil // a degraded step's schedule must never seed reuse
-	class := out.LastFailure().String()
+	class := d.Failure.String()
 	reason := class
-	if out.Err != nil {
-		reason = fmt.Sprintf("%s: %v (%d attempts)", reason, out.Err, len(out.Attempts))
+	if d.Err != nil {
+		reason = fmt.Sprintf("%s: %v (%d attempts)", reason, d.Err, len(d.Outcome.Attempts))
 	}
-	tr.Emit("solve.fallback",
-		obs.Int("t", now),
-		obs.Str("cause", out.LastFailure().String()),
-		obs.Int("attempts", int64(len(out.Attempts))),
-		obs.Str("policy", res.Chosen.Name()))
-	return res.Schedule, true, class, reason, out
-}
-
-// reuseSeed derives an incumbent candidate from the last adopted ILP
-// schedule: its entries restricted to the jobs still waiting, with jobs
-// that arrived since appended behind them in submission order (only the
-// relative order matters downstream).
-func reuseSeed(last *schedule.Schedule, waiting []*job.Job, now int64, total int) *schedule.Schedule {
-	if last == nil || len(last.Entries) == 0 {
-		return nil
-	}
-	waitingByID := make(map[int]bool, len(waiting))
-	for _, j := range waiting {
-		waitingByID[j.ID] = true
-	}
-	seed := &schedule.Schedule{Policy: "reuse", Now: now, Machine: total}
-	kept := make(map[int]bool, len(last.Entries))
-	maxStart := now
-	for _, e := range last.Entries {
-		if !waitingByID[e.Job.ID] {
-			continue
-		}
-		kept[e.Job.ID] = true
-		seed.Entries = append(seed.Entries, e)
-		if e.Start > maxStart {
-			maxStart = e.Start
-		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	fresh := make([]*job.Job, 0, len(waiting)-len(kept))
-	for _, j := range waiting {
-		if !kept[j.ID] {
-			fresh = append(fresh, j)
-		}
-	}
-	sort.Slice(fresh, func(i, k int) bool {
-		if fresh[i].Submit != fresh[k].Submit {
-			return fresh[i].Submit < fresh[k].Submit
-		}
-		return fresh[i].ID < fresh[k].ID
-	})
-	for k, j := range fresh {
-		seed.Entries = append(seed.Entries, schedule.Entry{Job: j, Start: maxStart + int64(k) + 1})
-	}
-	return seed
+	return res.Schedule, true, class, reason
 }
 
 // replan rebuilds the plan with the active policy after completions.
@@ -1592,13 +1478,13 @@ func (c *Core) replan(now int64) {
 		record.Planned = len(c.newlyPlanned) - plannedBefore
 		c.recordReplan(record)
 	}()
-	base, err := c.baseProfile(now)
+	base, err := plan.Base(c.kernel, now, c.running)
 	if err != nil {
 		c.trace.Emit("schedd.replan.failed", obs.Int("t", now), obs.Str("reason", err.Error()))
 		record.Outcome, record.ReasonClass, record.Reason = "failed", "step_error", err.Error()
 		return // keep the previous plan
 	}
-	sch, err := c.cfg.Scheduler.Reschedule(now, base, c.waitingSlice())
+	sch, err := c.cfg.Scheduler.Reschedule(now, base, plan.Waiting(c.waiting))
 	if err != nil {
 		c.trace.Emit("schedd.replan.failed", obs.Int("t", now), obs.Str("reason", err.Error()))
 		record.Outcome, record.ReasonClass, record.Reason = "failed", "step_error", err.Error()
@@ -1610,14 +1496,16 @@ func (c *Core) replan(now int64) {
 		obs.Int("t", now),
 		obs.Int("queue_depth", int64(len(c.waiting))))
 	record.Outcome = "ok"
-	c.adoptPlan(now, sch, c.degraded)
+	c.adoptPlan(tr, now, nil, sch, c.degraded)
 	c.appendPlanWAL("completion", now, 0, c.degraded, c.degReason, c.newlyPlanned[plannedBefore:])
 }
 
-// adoptPlan installs a full schedule: it records planned starts,
-// completes the submit-to-plan latency of first-planned jobs, and
-// starts jobs planned for now.
-func (c *Core) adoptPlan(now int64, sch *schedule.Schedule, degraded bool) {
+// adoptPlan installs a full schedule: it reports it to the kernel as
+// served (d is the ILP decision it answers, nil for a replan), records
+// planned starts, completes the submit-to-plan latency of first-planned
+// jobs, and starts jobs planned for now.
+func (c *Core) adoptPlan(tr *obs.Tracer, now int64, d *plan.Decision, sch *schedule.Schedule, degraded bool) {
+	c.kernel.Serve(tr, now, d, sch)
 	c.lastPlanWall.Store(time.Now().UnixNano())
 	c.plan = make(map[int]int64, len(sch.Entries))
 	for _, e := range sch.Entries {
@@ -1713,34 +1601,13 @@ func (c *Core) publish() {
 	c.gate.RUnlock()
 	s.Counts.Submitted = c.accepted.Load() // accepted admissions, including still-queued ones
 	for id, j := range c.waiting {
-		r := c.recs[id]
-		st := JobStatus{
-			ID: id, State: StateQueued, Width: j.Width, Estimate: j.Estimate,
-			Submit: j.Submit, PlannedStart: -1, Start: -1, End: -1, PlanLatencyMs: -1,
-			TraceID: r.trace, Deadline: r.deadline, SLOMiss: r.sloMiss,
-		}
-		if r.planned {
-			st.State = StateWaiting
-			st.PlannedStart = r.plannedStart
-			st.PlanLatencyMs = float64(r.planLatency) / float64(time.Millisecond)
-			st.Degraded = r.degraded
-		}
-		s.Active[id] = st
+		s.Active[id] = c.recs[id].status(StateWaiting)
 		if start, ok := c.plan[id]; ok {
 			s.Schedule = append(s.Schedule, PlannedEntry{JobID: id, Width: j.Width, Start: start, Estimate: j.Estimate})
 		}
 	}
 	for id, r := range c.running {
-		s.Active[id] = JobStatus{
-			ID: id, State: StateRunning, Width: r.job.Width, Estimate: r.job.Estimate,
-			Submit: r.job.Submit, PlannedStart: r.plannedStart, Start: r.start,
-			End:           r.start + r.job.Runtime,
-			PlanLatencyMs: float64(r.planLatency) / float64(time.Millisecond),
-			Degraded:      r.degraded,
-			Deadline:      r.deadline,
-			SLOMiss:       r.sloMiss,
-			TraceID:       r.trace,
-		}
+		s.Active[id] = r.status(StateRunning)
 	}
 	sort.Slice(s.Schedule, func(i, k int) bool {
 		if s.Schedule[i].Start != s.Schedule[k].Start {

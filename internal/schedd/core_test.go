@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/solvepipe"
 )
@@ -328,12 +329,12 @@ func TestILPStepDegradationSurfaced(t *testing.T) {
 		Machine: 16,
 		Clock:   NewManualClock(0),
 		ILP: &ILPConfig{
-			Pipe: solvepipe.Config{
+			ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 				Budget:  2 * time.Second,
 				Retries: 1,
 				MIP:     mip.Options{MaxNodes: 1000},
 				Hook:    inj.Hook,
-			},
+			}},
 		},
 	})
 	r1, err := c.Submit(SubmitRequest{Width: 16, Estimate: 500})
@@ -363,11 +364,11 @@ func TestILPStepSolvesWhenHealthy(t *testing.T) {
 		Machine: 8,
 		Clock:   NewManualClock(0),
 		ILP: &ILPConfig{
-			Pipe: solvepipe.Config{
+			ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 				Budget:  5 * time.Second,
 				Retries: 1,
 				MIP:     mip.Options{MaxNodes: 20000},
-			},
+			}},
 		},
 	})
 	for i := 0; i < 6; i++ {
@@ -432,5 +433,66 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 		if _, ok := c.Job(id); !ok {
 			t.Errorf("accepted job %d invisible", id)
 		}
+	}
+}
+
+// When the step SLO guard declines the ILP schedule and serves the
+// policy schedule, the declined plan must not seed the next step's
+// solve: the reuse seed comes only from plans that were served. The
+// control run without a deadline shows the observable works: there the
+// served ILP plan seeds the next step and wins over the policy seed.
+func TestGuardedStepDoesNotSeedReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		deadline  int64
+		guarded   bool
+		wantReuse bool
+	}{
+		{"guarded", 105, true, false},
+		{"served", 0, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			fcfs, err := dynp.New([]policy.Policy{policy.FCFS{}}, metrics.SLDwA{}, dynp.AdvancedDecider{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := startCore(t, Config{
+				Machine:   4,
+				Scheduler: fcfs,
+				Clock:     NewManualClock(0),
+				MaxBatch:  1,
+				Metrics:   reg,
+				ILP: &ILPConfig{ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
+					Budget: 5 * time.Second,
+					MIP:    mip.Options{MaxNodes: 20000},
+				}}},
+			})
+			// A blocker holds the machine until 100. Behind it, FCFS keeps
+			// the long job first (start 100, within its deadline) while
+			// the ILP moves the short jobs ahead of it.
+			reqs := []SubmitRequest{
+				{Width: 4, Estimate: 100},
+				{Width: 4, Estimate: 1000, Deadline: tc.deadline},
+				{Width: 4, Estimate: 10},
+				{Width: 4, Estimate: 10},
+			}
+			for i, req := range reqs {
+				if _, err := c.Submit(req); err != nil {
+					t.Fatal(err)
+				}
+				waitPlanned(t, c, int64(i+1))
+			}
+			if got := reg.Counter("schedd.steps.slo_guarded").Value(); (got > 0) != tc.guarded {
+				t.Fatalf("slo_guarded = %d, want guarded=%v", got, tc.guarded)
+			}
+			last := c.Replans()[0] // the fourth step
+			if last.Kind != "step" || last.QueueDepth != 3 {
+				t.Fatalf("newest record = %+v, want the 3-job step", last)
+			}
+			if last.SeedReused != tc.wantReuse {
+				t.Fatalf("step after the third: seed_reused = %v, want %v", last.SeedReused, tc.wantReuse)
+			}
+		})
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedd"
 	"repro/internal/solvepipe"
@@ -55,11 +56,11 @@ func TestServingE2EWithFaults(t *testing.T) {
 		MaxBatchDelay: 5 * time.Millisecond,
 		ReplanBuffer:  4096, // keep every replan of the run for the assertions below
 		ILP: &schedd.ILPConfig{
-			Pipe: solvepipe.Config{
+			ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 				Budget: 500 * time.Millisecond,
 				MIP:    mip.Options{MaxNodes: 50000},
 				Hook:   inj.Hook,
-			},
+			}},
 		},
 		Metrics: obs.NewRegistry(),
 	})

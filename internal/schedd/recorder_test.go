@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/solvepipe"
 )
 
@@ -89,12 +90,12 @@ func TestRecorderCapturesDegradedReplan(t *testing.T) {
 		Clock:   NewManualClock(0),
 		Metrics: reg,
 		ILP: &ILPConfig{
-			Pipe: solvepipe.Config{
+			ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 				Budget:  2 * time.Second,
 				Retries: 1,
 				MIP:     mip.Options{MaxNodes: 1000},
 				Hook:    inj.Hook,
-			},
+			}},
 		},
 	})
 	if _, err := c.Submit(SubmitRequest{Width: 16, Estimate: 500}); err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedd"
 	"repro/internal/solvepipe"
@@ -124,10 +125,10 @@ func anytimeFactory(t testing.TB, accel float64) CoreFactory {
 			MaxBatch:      16,
 			MaxBatchDelay: time.Millisecond,
 			ILP: &schedd.ILPConfig{
-				Pipe: solvepipe.Config{
+				ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 					Budget: time.Millisecond,
 					MIP:    mip.Options{MaxNodes: 200000},
-				},
+				}},
 				Anytime:       true,
 				AnytimeBudget: time.Second,
 			},

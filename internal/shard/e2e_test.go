@@ -23,6 +23,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedd"
 	"repro/internal/shard"
@@ -105,11 +106,11 @@ func TestShardedServingE2EWithFaults(t *testing.T) {
 			MaxBatch:      64,
 			MaxBatchDelay: 5 * time.Millisecond,
 			ILP: &schedd.ILPConfig{
-				Pipe: solvepipe.Config{
+				ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 					Budget: 500 * time.Millisecond,
 					MIP:    mip.Options{MaxNodes: 50000},
 					Hook:   injectors[idx].Hook,
-				},
+				}},
 			},
 			Metrics: obs.NewRegistry(),
 		}, nil

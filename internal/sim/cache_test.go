@@ -10,7 +10,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/mip"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 	"repro/internal/solvepipe"
 )
 
@@ -150,50 +149,6 @@ func TestStepCacheNotPoisonedByFallback(t *testing.T) {
 	}
 	if got := reg.Counter("step.cache.hits").Value(); got != int64(n-2) {
 		t.Fatalf("step.cache.hits counter = %d, want %d", got, n-2)
-	}
-}
-
-// reuseSeed derives the next step's incumbent candidate from the last
-// adopted ILP schedule: departed jobs are dropped, survivors keep their
-// relative order, and new arrivals are appended behind them.
-func TestReuseSeedFiltersAndAppends(t *testing.T) {
-	jA := &job.Job{ID: 1, Submit: 0, Width: 1, Runtime: 50, Estimate: 50}
-	jB := &job.Job{ID: 2, Submit: 0, Width: 1, Runtime: 50, Estimate: 50}
-	jC := &job.Job{ID: 3, Submit: 90, Width: 1, Runtime: 50, Estimate: 50}
-	jD := &job.Job{ID: 4, Submit: 80, Width: 1, Runtime: 50, Estimate: 50}
-	s, err := New(trace(2, jA, jB, jC, jD), standard(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.reuseSeed(nil) != nil {
-		t.Fatal("reuse seed without a previous schedule")
-	}
-	s.clock = 100
-	s.lastILP = &schedule.Schedule{Now: 90, Machine: 2, Entries: []schedule.Entry{
-		{Job: jB, Start: 150}, {Job: jA, Start: 100},
-	}}
-	// jA started since (not waiting); jC and jD arrived since.
-	seed := s.reuseSeed([]*job.Job{jB, jC, jD})
-	if seed == nil || len(seed.Entries) != 3 {
-		t.Fatalf("seed = %+v, want 3 entries", seed)
-	}
-	// Survivor first with its planned start, then arrivals by submit
-	// order (jD before jC) with strictly later starts.
-	wantIDs := []int{2, 4, 3}
-	for k, e := range seed.Entries {
-		if e.Job.ID != wantIDs[k] {
-			t.Fatalf("entry %d is job %d, want %d (%+v)", k, e.Job.ID, wantIDs[k], seed.Entries)
-		}
-	}
-	if seed.Entries[0].Start != 150 {
-		t.Fatalf("survivor start = %d, want its planned 150", seed.Entries[0].Start)
-	}
-	if !(seed.Entries[1].Start > 150 && seed.Entries[2].Start > seed.Entries[1].Start) {
-		t.Fatalf("appended arrivals must sort last: %+v", seed.Entries)
-	}
-	// No overlap with the previous plan: no seed at all.
-	if got := s.reuseSeed([]*job.Job{jC, jD}); got != nil {
-		t.Fatalf("seed from fully-departed plan = %+v, want nil", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/mip"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/solvepipe"
 )
 
@@ -31,13 +32,13 @@ func wholeMachineTrace(n int, procs int) *job.Trace {
 
 func ilpConfig(hook func(solvepipe.SolveFunc) solvepipe.SolveFunc) *ILPConfig {
 	return &ILPConfig{
-		Pipe: solvepipe.Config{
+		ILPConfig: plan.ILPConfig{Pipe: solvepipe.Config{
 			Budget:     2 * time.Second,
 			Retries:    0, // one solve call per step: call index == step index
 			FixedScale: 50,
 			MIP:        mip.Options{MaxNodes: 2000},
 			Hook:       hook,
-		},
+		}},
 		Fallback: true,
 	}
 }
@@ -66,7 +67,7 @@ func TestILPRunWithInjectedFaults(t *testing.T) {
 	var fallbackSteps []int64
 	onStep := func(sc *StepContext) {
 		stepTimes = append(stepTimes, sc.Now)
-		if sc.ILP != nil && sc.ILP.Fallback {
+		if sc.ILP != nil && sc.ILP.Failed() {
 			fallbackSteps = append(fallbackSteps, sc.Now)
 		}
 	}

@@ -4,22 +4,29 @@
 // complete future resource usage with estimated durations; newly planned
 // jobs whose start time equals the current instant begin executing
 // immediately, so "backfilling is done implicitly". Jobs run for their
-// *actual* runtime; when a job finishes early the plan is rebuilt with the
-// active policy, pulling waiting jobs forward — exactly the behaviour of a
-// planning-based RMS.
+// *actual* runtime; when jobs finish early the plan is rebuilt with the
+// active policy, once per completion instant, pulling waiting jobs
+// forward — exactly the behaviour of a planning-based RMS.
+//
+// The simulator is an offline driver of the planning kernel
+// (internal/plan), which owns the step itself: machine history, queue
+// order, due starts and the ILP decision. The online service
+// (internal/schedd) drives the same kernel, so both produce the same
+// plan sequence on the same trace. The simulator keeps only its event
+// queue and its bookkeeping: Result counters, StepFailure records, and
+// the abort of an ILP-driven run that must not degrade.
 package sim
 
 import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dynp"
-	"repro/internal/ilpsched"
 	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/schedule"
 	"repro/internal/solvepipe"
 )
@@ -101,19 +108,10 @@ type StepContext struct {
 	// Result is the self-tuning outcome (all policy schedules and the
 	// decider's choice).
 	Result *dynp.StepResult
-	// ILP, non-nil only in ILP-driven runs (Config.ILP), carries the
-	// step's solve-pipeline outcome and whether the step degraded to the
-	// basic-policy schedule.
-	ILP *ILPStepInfo
-}
-
-// ILPStepInfo is the solve-pipeline provenance of one ILP-driven step.
-type ILPStepInfo struct {
-	// Outcome is the full retry-ladder record of the step's solve.
-	Outcome *solvepipe.Outcome
-	// Fallback reports that the pipeline produced no schedule and the
-	// step adopted the chosen basic-policy schedule instead.
-	Fallback bool
+	// ILP, non-nil only in ILP-driven runs (Config.ILP), is the step's
+	// ILP decision: its solve-pipeline outcome, and Failed when the step
+	// degraded to the basic-policy schedule.
+	ILP *plan.Decision
 }
 
 // StepFailure is the per-step failure provenance of an ILP-driven run:
@@ -130,46 +128,23 @@ type StepFailure struct {
 }
 
 // ILPConfig makes the simulation adopt solve-pipeline schedules: every
-// self-tuning step extracts the quasi off-line instance and solves the
-// time-indexed ILP through the internal/solvepipe retry ladder; the
-// compacted optimal schedule replaces the basic-policy schedule. (The
-// paper computes these schedules observationally; this mode is the
-// "what if CPLEX actually drove the machine" experiment, which is only
-// viable with the fault tolerance this configuration provides.)
+// self-tuning step goes through the planning kernel's ILP decision
+// (plan.ILPConfig), and the compacted optimal schedule replaces the
+// basic-policy schedule. (The paper computes these schedules
+// observationally; this mode is the "what if CPLEX actually drove the
+// machine" experiment, which is only viable with the fault tolerance
+// this configuration provides.)
 type ILPConfig struct {
-	// Pipe parameterizes the retry ladder. Pipe.Trace/Pipe.Metrics
-	// default to the simulation's sinks; Pipe.Seed defaults per step to
-	// the chosen basic-policy schedule.
-	Pipe solvepipe.Config
+	plan.ILPConfig
 	// Fallback degrades a step whose ladder is exhausted to the chosen
 	// basic-policy schedule (recorded in Result.Failures and the
 	// "solve.fallback" trace event). When false such a step aborts the
 	// simulation — only sensible in experiments that must not degrade.
 	Fallback bool
-	// StepCacheOff disables the cross-step solution cache. By default
-	// every ILP-driven run carries a solvepipe.StepCache: steps whose
-	// relative instance fingerprint matches an already-solved one adopt
-	// the rebased cached schedule without building or solving a model.
-	// Only successful solves populate the cache (a fallback step cannot
-	// poison it), and each hit is re-validated against the live profile.
-	StepCacheOff bool
-	// StepCacheSize overrides the cache capacity (default 64 entries).
-	StepCacheSize int
-	// ReuseOff disables seeding each step's branch and bound with the
-	// previous step's compacted ILP schedule (on by default; the seed is
-	// only an incumbent candidate and never changes the proven optimum).
-	ReuseOff bool
 }
 
-// Reservation is an advance reservation: Width processors are promised to
-// an external party on [Start, End) and are unavailable to batch jobs.
-// Supporting these is the planning-based RMS capability the paper
-// highlights ("a request for a reservation is submitted ... an answer is
-// expected immediately"); queueing systems cannot offer them.
-type Reservation struct {
-	Start, End int64
-	Width      int
-}
+// Reservation is an advance reservation (see plan.Reservation).
+type Reservation = plan.Reservation
 
 // Config parameterizes a simulation run.
 type Config struct {
@@ -178,12 +153,14 @@ type Config struct {
 	// Reservations are advance reservations blocking capacity windows;
 	// every plan is built around them.
 	Reservations []Reservation
-	// ReplanOnCompletion rebuilds the plan with the active policy when a
-	// job finishes (early completions pull work forward). Planning-based
-	// systems do this; disable only for experiments. Default true in New.
+	// ReplanOnCompletion rebuilds the plan with the active policy once
+	// every job finishing at an instant has completed (early completions
+	// pull work forward). Planning-based systems do this; disable only
+	// for experiments. Default true in New.
 	ReplanOnCompletion bool
-	// SelfTuneOnCompletion additionally runs a full self-tuning step on
-	// completions (the paper tunes only at submissions). Default false.
+	// SelfTuneOnCompletion runs a full self-tuning step instead at
+	// completion instants (the paper tunes only at submissions).
+	// Default false.
 	SelfTuneOnCompletion bool
 	// OnStep, if non-nil, observes every self-tuning step.
 	OnStep func(*StepContext)
@@ -216,7 +193,7 @@ type Result struct {
 	// Steps and Switches are the dynP self-tuning statistics.
 	Steps, Switches int
 	// Replans counts plan rebuilds triggered by job completions (without
-	// a self-tuning step).
+	// a self-tuning step): at most one per completion instant.
 	Replans int
 	// PolicyUse counts self-tuning decisions per policy name.
 	PolicyUse map[string]int
@@ -314,7 +291,7 @@ func (r *Result) Utilization(machineSize int) float64 {
 type Simulator struct {
 	cfg       Config
 	scheduler *dynp.Scheduler
-	total     int
+	kernel    *plan.Kernel
 
 	ctx     context.Context
 	clock   int64
@@ -326,10 +303,6 @@ type Simulator struct {
 	planVer int
 
 	result Result
-
-	// Cross-step reuse state (ILP-driven runs only).
-	stepCache *solvepipe.StepCache
-	lastILP   *schedule.Schedule // last successfully adopted ILP schedule
 
 	// Observability sinks (all nil-safe no-ops when disabled).
 	trace       *obs.Tracer
@@ -347,10 +320,12 @@ type Simulator struct {
 }
 
 type runningJob struct {
-	job          *job.Job
-	start        int64
-	estimatedEnd int64
+	job   *job.Job
+	start int64
 }
+
+// Started implements plan.Started.
+func (r *runningJob) Started() (*job.Job, int64) { return r.job, r.start }
 
 // New creates a simulator for the trace. The scheduler is used for every
 // planning decision. ReplanOnCompletion defaults to true when cfg is the
@@ -374,26 +349,23 @@ func New(t *job.Trace, s *dynp.Scheduler, cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: %v wider than machine (%d)", j, total)
 		}
 	}
-	for _, rv := range cfg.Reservations {
-		if rv.Width < 1 || rv.Width > total {
-			return nil, fmt.Errorf("sim: reservation width %d outside [1, %d]", rv.Width, total)
-		}
-		if rv.End <= rv.Start || rv.Start < 0 {
-			return nil, fmt.Errorf("sim: bad reservation window [%d, %d)", rv.Start, rv.End)
-		}
+	kcfg := plan.Config{Machine: total, Reservations: cfg.Reservations, Metrics: cfg.Metrics}
+	if cfg.ILP != nil {
+		kcfg.ILP = &cfg.ILP.ILPConfig
+	}
+	k, err := plan.New(kcfg)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %v", err)
 	}
 	sim := &Simulator{
 		cfg:       cfg,
 		scheduler: s,
-		total:     total,
+		kernel:    k,
 		waiting:   map[int]*job.Job{},
 		running:   map[int]*runningJob{},
 		plan:      map[int]int64{},
 	}
 	sim.result.PolicyUse = map[string]int{}
-	if cfg.ILP != nil && !cfg.ILP.StepCacheOff && cfg.ILP.Pipe.Cache == nil {
-		sim.stepCache = solvepipe.NewStepCache(cfg.ILP.StepCacheSize)
-	}
 	sim.trace = cfg.Trace
 	if reg := cfg.Metrics; reg != nil {
 		depthBounds := []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
@@ -425,47 +397,12 @@ func (s *Simulator) push(e event) {
 	heap.Push(&s.queue, e)
 }
 
-// baseProfile builds the machine history profile from the running jobs at
-// the current clock, with estimated ends (the scheduler never sees actual
-// runtimes).
-func (s *Simulator) baseProfile() (*machine.Profile, error) {
-	rs := make([]machine.Running, 0, len(s.running))
-	for _, r := range s.running {
-		rs = append(rs, machine.Running{JobID: r.job.ID, Width: r.job.Width, End: r.estimatedEnd})
-	}
-	h, err := machine.HistoryFromRunning(s.total, s.clock, rs)
-	if err != nil {
-		return nil, err
-	}
-	p := h.Profile(s.total)
-	for _, rv := range s.cfg.Reservations {
-		if rv.End <= s.clock {
-			continue // already elapsed
-		}
-		start := rv.Start
-		if start < s.clock {
-			start = s.clock
-		}
-		if err := p.Reserve(start, rv.End, rv.Width); err != nil {
-			return nil, fmt.Errorf("sim: reservation [%d,%d)x%d conflicts: %v",
-				rv.Start, rv.End, rv.Width, err)
-		}
-	}
-	return p, nil
-}
-
-func (s *Simulator) waitingSlice() []*job.Job {
-	out := make([]*job.Job, 0, len(s.waiting))
-	for _, j := range s.waiting {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
-
-// adoptPlan installs a new full schedule: it records planned starts,
-// enqueues start events, and immediately starts jobs planned for now.
-func (s *Simulator) adoptPlan(sch *schedule.Schedule) {
+// adoptPlan installs a new full schedule: it reports it to the kernel
+// as served (d is the ILP decision it answers, nil for a replan),
+// records planned starts, enqueues start events, and immediately starts
+// jobs planned for now.
+func (s *Simulator) adoptPlan(d *plan.Decision, sch *schedule.Schedule) {
+	s.kernel.Serve(s.trace, s.clock, d, sch)
 	s.planVer++
 	s.plan = make(map[int]int64, len(sch.Entries))
 	for _, e := range sch.Entries {
@@ -479,26 +416,10 @@ func (s *Simulator) adoptPlan(sch *schedule.Schedule) {
 
 // startDueJobs starts every waiting job whose planned start is <= clock.
 func (s *Simulator) startDueJobs() {
-	// Deterministic order: by planned start, then ID.
-	due := make([]*job.Job, 0, 4)
-	for id, start := range s.plan {
-		if start <= s.clock {
-			if j, ok := s.waiting[id]; ok {
-				due = append(due, j)
-			}
-		}
-	}
-	sort.Slice(due, func(i, k int) bool {
-		if s.plan[due[i].ID] != s.plan[due[k].ID] {
-			return s.plan[due[i].ID] < s.plan[due[k].ID]
-		}
-		return due[i].ID < due[k].ID
-	})
-	for _, j := range due {
+	for _, j := range plan.Due(s.plan, s.waiting, s.clock) {
 		delete(s.waiting, j.ID)
 		delete(s.plan, j.ID)
-		r := &runningJob{job: j, start: s.clock, estimatedEnd: s.clock + j.Estimate}
-		s.running[j.ID] = r
+		s.running[j.ID] = &runningJob{job: j, start: s.clock}
 		s.push(event{time: s.clock + j.Runtime, kind: evEnd, job: j})
 		s.cStarts.Inc()
 		s.trace.Emit("sim.start",
@@ -511,11 +432,11 @@ func (s *Simulator) startDueJobs() {
 
 // selfTune runs a self-tuning step and adopts the chosen schedule.
 func (s *Simulator) selfTune(submitted *job.Job) error {
-	base, err := s.baseProfile()
+	base, err := plan.Base(s.kernel, s.clock, s.running)
 	if err != nil {
-		return err
+		return fmt.Errorf("sim: %w", err)
 	}
-	waiting := s.waitingSlice()
+	waiting := plan.Waiting(s.waiting)
 	s.hQueueDepth.Observe(float64(len(waiting)))
 	span := s.trace.StartSpan("sim.selftune",
 		obs.Int("t", s.clock),
@@ -536,61 +457,35 @@ func (s *Simulator) selfTune(submitted *job.Job) error {
 		s.result.MaxQueueDepth = len(waiting)
 	}
 	adopt := res.Schedule
-	var ilp *ILPStepInfo
+	var d *plan.Decision
 	if s.cfg.ILP != nil {
-		adopt, ilp, err = s.ilpSchedule(res, waiting, base)
-		if err != nil {
+		d = s.kernel.Solve(s.ctx, s.trace, s.clock, res, waiting, base)
+		if err := s.account(d); err != nil {
 			return err
+		}
+		if d.Schedule != nil {
+			adopt = d.Schedule
 		}
 	}
 	if s.cfg.OnStep != nil {
 		s.cfg.OnStep(&StepContext{
 			Now: s.clock, Submitted: submitted, Waiting: waiting,
-			Base: base, Result: res, ILP: ilp,
+			Base: base, Result: res, ILP: d,
 		})
 	}
-	s.adoptPlan(adopt)
+	s.adoptPlan(d, adopt)
 	return nil
 }
 
-// ilpSchedule runs one step's quasi off-line instance through the solve
-// pipeline and returns the schedule to adopt. On ladder exhaustion it
-// degrades to the chosen basic-policy schedule (Config.ILP.Fallback) or
-// aborts; a canceled context always aborts.
-func (s *Simulator) ilpSchedule(res *dynp.StepResult, waiting []*job.Job, base *machine.Profile) (*schedule.Schedule, *ILPStepInfo, error) {
-	var horizon int64
-	for _, e := range res.Evals {
-		if mk := e.Schedule.Makespan(); mk > horizon {
-			horizon = mk
-		}
+// account books one step's ILP decision into the result and metrics.
+// A failed step degrades to the chosen basic-policy schedule
+// (Config.ILP.Fallback) or aborts the run; a canceled solve always
+// aborts.
+func (s *Simulator) account(d *plan.Decision) error {
+	out := d.Outcome
+	if out == nil {
+		return nil // every waiting job starts now
 	}
-	if horizon <= s.clock {
-		return res.Schedule, nil, nil // every waiting job starts now
-	}
-	inst := &ilpsched.Instance{
-		Now:     s.clock,
-		Machine: base.Total(),
-		Base:    base,
-		Jobs:    waiting,
-		Horizon: horizon,
-	}
-	pipe := s.cfg.ILP.Pipe
-	if pipe.Trace == nil {
-		pipe.Trace = s.trace
-	}
-	if pipe.Metrics == nil {
-		pipe.Metrics = s.cfg.Metrics
-	}
-	if pipe.Seed == nil {
-		pipe.Seed = res.Schedule
-	}
-	if pipe.Cache == nil {
-		pipe.Cache = s.stepCache
-	}
-	if pipe.ReuseSeed == nil && !s.cfg.ILP.ReuseOff {
-		pipe.ReuseSeed = s.reuseSeed(waiting)
-	}
-	out := solvepipe.Solve(s.ctx, pipe, inst)
 	s.result.ILPSteps++
 	s.result.ILPRetries += out.Retries()
 	if out.CacheHit {
@@ -599,102 +494,34 @@ func (s *Simulator) ilpSchedule(res *dynp.StepResult, waiting []*job.Job, base *
 	if out.IncumbentReused {
 		s.result.ILPReusedIncumbents++
 	}
-	info := &ILPStepInfo{Outcome: out}
-	failKind, failErr := out.LastFailure(), out.Err
-	if !out.Failed() {
-		sch := out.Solution.Compacted
-		if verr := sch.Validate(base); verr == nil {
-			s.lastILP = sch
-			if out.CacheHit {
-				s.vStepOut.With("cache_hit").Inc()
-			} else {
-				s.vStepOut.With("ok").Inc()
-			}
-			return sch, info, nil
-		} else {
-			// A solver bug, not an instance property: degrade like any
-			// other failure so one bad step cannot kill the run.
-			failKind = solvepipe.FailError
-			failErr = fmt.Errorf("sim: step at %d: infeasible ILP schedule: %v", s.clock, verr)
-		}
+	switch {
+	case !d.Failed() && out.CacheHit:
+		s.vStepOut.With("cache_hit").Inc()
+		return nil
+	case !d.Failed():
+		s.vStepOut.With("ok").Inc()
+		return nil
+	case d.Failure == solvepipe.FailCanceled:
+		return fmt.Errorf("sim: step at %d: %w", s.clock, d.Err)
+	case !s.cfg.ILP.Fallback:
+		return fmt.Errorf("sim: step at %d: solve pipeline failed: %w", s.clock, d.Err)
 	}
-	if failKind == solvepipe.FailCanceled {
-		return nil, nil, fmt.Errorf("sim: step at %d: %w", s.clock, failErr)
-	}
-	if !s.cfg.ILP.Fallback {
-		return nil, nil, fmt.Errorf("sim: step at %d: solve pipeline failed: %w", s.clock, failErr)
-	}
-	info.Fallback = true
-	s.lastILP = nil // a degraded step's schedule must never seed reuse
 	s.result.ILPFallbacks++
 	s.cFallbacks.Inc()
 	s.vStepOut.With("fallback").Inc()
-	s.vFallback.With(failKind.String()).Inc()
+	s.vFallback.With(d.Failure.String()).Inc()
 	s.result.Failures = append(s.result.Failures, StepFailure{
-		Time: s.clock, Kind: failKind, Attempts: len(out.Attempts),
-		Err: failErr.Error(),
+		Time: s.clock, Kind: d.Failure, Attempts: len(out.Attempts),
+		Err: d.Err.Error(),
 	})
-	s.trace.Emit("solve.fallback",
-		obs.Int("t", s.clock),
-		obs.Str("cause", failKind.String()),
-		obs.Int("attempts", int64(len(out.Attempts))),
-		obs.Str("policy", res.Chosen.Name()))
-	return res.Schedule, info, nil
-}
-
-// reuseSeed derives a second incumbent candidate from the last adopted
-// ILP schedule: its entries restricted to the jobs still waiting, with
-// jobs that arrived since appended behind them in submission order. Only
-// the relative order matters downstream (IncumbentFromSchedule and the
-// presolve upper-bound seeds list-schedule in start order), so the
-// appended entries just need starts that sort last.
-func (s *Simulator) reuseSeed(waiting []*job.Job) *schedule.Schedule {
-	if s.lastILP == nil || len(s.lastILP.Entries) == 0 {
-		return nil
-	}
-	waitingByID := make(map[int]bool, len(waiting))
-	for _, j := range waiting {
-		waitingByID[j.ID] = true
-	}
-	seed := &schedule.Schedule{Policy: "reuse", Now: s.clock, Machine: s.total}
-	kept := make(map[int]bool, len(s.lastILP.Entries))
-	maxStart := s.clock
-	for _, e := range s.lastILP.Entries {
-		if !waitingByID[e.Job.ID] {
-			continue // started or otherwise departed since
-		}
-		kept[e.Job.ID] = true
-		seed.Entries = append(seed.Entries, e)
-		if e.Start > maxStart {
-			maxStart = e.Start
-		}
-	}
-	if len(kept) == 0 {
-		return nil // nothing of the old plan survives
-	}
-	fresh := make([]*job.Job, 0, len(waiting)-len(kept))
-	for _, j := range waiting {
-		if !kept[j.ID] {
-			fresh = append(fresh, j)
-		}
-	}
-	sort.Slice(fresh, func(i, k int) bool {
-		if fresh[i].Submit != fresh[k].Submit {
-			return fresh[i].Submit < fresh[k].Submit
-		}
-		return fresh[i].ID < fresh[k].ID
-	})
-	for k, j := range fresh {
-		seed.Entries = append(seed.Entries, schedule.Entry{Job: j, Start: maxStart + int64(k) + 1})
-	}
-	return seed
+	return nil
 }
 
 // replan rebuilds the plan with the active policy, without self-tuning.
 func (s *Simulator) replan() error {
-	base, err := s.baseProfile()
+	base, err := plan.Base(s.kernel, s.clock, s.running)
 	if err != nil {
-		return err
+		return fmt.Errorf("sim: %w", err)
 	}
 	s.result.Replans++
 	s.cReplans.Inc()
@@ -702,11 +529,11 @@ func (s *Simulator) replan() error {
 		obs.Int("t", s.clock),
 		obs.Int("queue_depth", int64(len(s.waiting))),
 		obs.Str("policy", s.scheduler.Current().Name()))
-	sch, err := s.scheduler.Reschedule(s.clock, base, s.waitingSlice())
+	sch, err := s.scheduler.Reschedule(s.clock, base, plan.Waiting(s.waiting))
 	if err != nil {
 		return err
 	}
-	s.adoptPlan(sch)
+	s.adoptPlan(nil, sch)
 	return nil
 }
 
@@ -753,6 +580,9 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 				obs.Int("wait", done.WaitTime()))
 			if s.clock > lastEnd {
 				lastEnd = s.clock
+			}
+			if q := s.queue; q.Len() > 0 && q[0].time == s.clock && q[0].kind == evEnd {
+				break // more jobs finish now: replan once, after the last
 			}
 			if len(s.waiting) > 0 {
 				if s.cfg.SelfTuneOnCompletion {

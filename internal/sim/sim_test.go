@@ -93,6 +93,36 @@ func TestEarlyCompletionPullsForward(t *testing.T) {
 	}
 }
 
+// Jobs finishing at one instant all complete before the plan is
+// rebuilt, once: the replan sees the whole released capacity, the same
+// completion rule the online service follows.
+func TestOneReplanPerCompletionInstant(t *testing.T) {
+	// Jobs 1 and 2 share the machine and both finish at 100; jobs 3 and
+	// 4 each need the whole machine after them.
+	tr := trace(4,
+		j(1, 0, 2, 100, 100),
+		j(2, 0, 2, 100, 100),
+		j(3, 0, 4, 50, 50),
+		j(4, 0, 4, 50, 50),
+	)
+	s, err := New(tr, fcfsOnly(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One replan at 100 (two completions) and one at 150 (job 3); job
+	// 4's completion at 200 leaves nothing waiting.
+	if res.Replans != 2 {
+		t.Fatalf("replans = %d, want 2: one per completion instant", res.Replans)
+	}
+	if c3, c4 := find(t, res, 3), find(t, res, 4); c3.Start != 100 || c4.Start != 150 {
+		t.Fatalf("starts = %d, %d, want 100, 150", c3.Start, c4.Start)
+	}
+}
+
 func TestNoReplanOnCompletionWaitsForEstimate(t *testing.T) {
 	tr := trace(2,
 		j(1, 0, 2, 100, 40),

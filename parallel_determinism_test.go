@@ -7,6 +7,7 @@ import (
 	"repro/internal/ilpsched"
 	"repro/internal/metrics"
 	"repro/internal/mip"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -41,18 +42,9 @@ func TestParallelSolveMatchesSerialOnSampledSteps(t *testing.T) {
 		if (eligible-1)%2 != 0 { // every other eligible step, like the E1 study's sampling
 			return
 		}
-		var horizon int64
-		for _, e := range sc.Result.Evals {
-			if mk := e.Schedule.Makespan(); mk > horizon {
-				horizon = mk
-			}
-		}
-		if horizon <= sc.Now {
+		inst := plan.Instance(sc.Now, sc.Base, sc.Waiting, plan.Horizon(sc.Result.Evals))
+		if inst == nil {
 			return
-		}
-		inst := &ilpsched.Instance{
-			Now: sc.Now, Machine: sc.Base.Total(), Base: sc.Base,
-			Jobs: sc.Waiting, Horizon: horizon,
 		}
 		solve := func(workers int) *mip.Result {
 			// Build per solve: identical deterministic models, no shared

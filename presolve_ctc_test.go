@@ -8,6 +8,7 @@ import (
 	"repro/internal/ilpsched"
 	"repro/internal/metrics"
 	"repro/internal/mip"
+	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -41,20 +42,13 @@ func TestPresolveMatchesUnreducedOnSampledCTCSteps(t *testing.T) {
 		if (eligible-1)%2 != 0 { // every other eligible step, like the E1 sampling
 			return
 		}
-		var horizon int64
+		inst := plan.Instance(sc.Now, sc.Base, sc.Waiting, plan.Horizon(sc.Result.Evals))
+		if inst == nil {
+			return
+		}
 		var seeds []*schedule.Schedule
 		for _, e := range sc.Result.Evals {
 			seeds = append(seeds, e.Schedule)
-			if mk := e.Schedule.Makespan(); mk > horizon {
-				horizon = mk
-			}
-		}
-		if horizon <= sc.Now {
-			return
-		}
-		inst := &ilpsched.Instance{
-			Now: sc.Now, Machine: sc.Base.Total(), Base: sc.Base,
-			Jobs: sc.Waiting, Horizon: horizon,
 		}
 		full, err := ilpsched.Build(inst, 120)
 		if err != nil {
