@@ -98,7 +98,7 @@ func main() {
 		accel      = flag.Float64("accel", 1, "virtual seconds per wall second (1 = live time)")
 		queueBound = flag.Int("queue-bound", 256, "submit queue bound; a full queue answers 429")
 		maxBatch   = flag.Int("max-batch", 64, "max submissions coalesced into one replan (1 = replan per submission)")
-		batchDelay = flag.Duration("max-batch-delay", 10*time.Millisecond, "how long a replan waits for more arrivals after the first")
+		batchDelay = flag.Duration("max-batch-delay", 10*time.Millisecond, "longest a replan waits for more arrivals after the first; the wait is also capped by the measured cost of a replan pass")
 		rate       = flag.Float64("rate", 0, "per-source admission rate in submissions/s (0 = unlimited)")
 		burst      = flag.Int("burst", 4, "per-source burst size (with -rate)")
 		ilpDriven  = flag.Bool("ilp", false, "drive replans through the fault-tolerant ILP solve pipeline")

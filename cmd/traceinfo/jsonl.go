@@ -9,29 +9,22 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 
 	"repro/internal/table"
 )
 
 // jsonlEvent is the superset of trace-event fields the reconstruction
-// reads; unknown fields are ignored.
-//
-// Note on "t": the tracer writes its own reserved "t" (wall seconds
-// since tracer start) as the FIRST key of every line, and schedd events
-// additionally carry a custom "t" field with the daemon's virtual time.
-// encoding/json keeps the last duplicate, so T below ends up holding
-// virtual time; wallT is recovered from the line prefix separately and
-// is what every latency computation uses.
+// reads; unknown fields are ignored. T is the tracer's wall clock
+// (seconds since trace start), which every latency computation uses;
+// VT is the daemon's virtual time, carried by schedd events.
 type jsonlEvent struct {
 	T          float64 `json:"t"`
-	wallT      float64
+	VT         int64   `json:"vt"`
 	Seq        int64   `json:"seq"`
 	Ev         string  `json:"ev"`
 	Span       int64   `json:"span"`
@@ -87,6 +80,7 @@ type replanSpan struct {
 	ev         string
 	span       int64
 	beginT     float64
+	beginVT    int64 // virtual time of the step or replan
 	durMs      float64
 	batch      int64
 	queueDepth int64
@@ -130,7 +124,6 @@ func runJSONL(w io.Writer, path string, top int) error {
 			badLines++
 			continue
 		}
-		e.wallT = wallTime(line, e.T)
 		events++
 		if e.Trace != "" {
 			p, ok := paths[e.Trace]
@@ -140,16 +133,16 @@ func runJSONL(w io.Writer, path string, top int) error {
 			}
 			switch e.Ev {
 			case "schedd.submit":
-				p.submitT, p.hasSubmit = e.wallT, true
+				p.submitT, p.hasSubmit = e.T, true
 				p.job, p.source = e.Job, e.Source
 			case "schedd.job.batched":
-				p.batchedT, p.hasBatch = e.wallT, true
+				p.batchedT, p.hasBatch = e.T, true
 				p.job = e.Job
 			case "schedd.job.planned":
-				p.plannedT, p.hasPlan = e.wallT, true
+				p.plannedT, p.hasPlan = e.T, true
 				p.job, p.planLatMs, p.degraded = e.Job, e.PlanLatMs, e.Degraded
 			case "schedd.job.published":
-				p.publishT, p.hasPub = e.wallT, true
+				p.publishT, p.hasPub = e.T, true
 				p.job = e.Job
 			}
 		}
@@ -158,7 +151,7 @@ func runJSONL(w io.Writer, path string, top int) error {
 			switch e.Phase {
 			case "begin":
 				spans[e.Span] = &replanSpan{
-					ev: e.Ev, span: e.Span, beginT: e.wallT,
+					ev: e.Ev, span: e.Span, beginT: e.T, beginVT: e.VT,
 					batch: e.Batch, queueDepth: e.QueueDepth,
 				}
 			case "end":
@@ -250,8 +243,8 @@ func runJSONL(w io.Writer, path string, top int) error {
 	slowest := replans[0]
 	fmt.Fprintf(w, "\nreplans: %d spans, mean %.3f ms, max %.3f ms\n",
 		len(replans), sum/float64(len(replans)), slowest.durMs)
-	fmt.Fprintf(w, "slowest replan: %s span %d at t=%.3fs: %.3f ms, batch %d, queue %d",
-		slowest.ev, slowest.span, slowest.beginT, slowest.durMs, slowest.batch, slowest.queueDepth)
+	fmt.Fprintf(w, "slowest replan: %s span %d at t=%.3fs (vt=%d): %.3f ms, batch %d, queue %d",
+		slowest.ev, slowest.span, slowest.beginT, slowest.beginVT, slowest.durMs, slowest.batch, slowest.queueDepth)
 	if slowest.outcome != "" {
 		fmt.Fprintf(w, ", outcome %s", slowest.outcome)
 	}
@@ -267,26 +260,6 @@ func runJSONL(w io.Writer, path string, top int) error {
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// wallTime extracts the tracer's reserved leading "t" (wall seconds
-// since tracer start) from the raw line, falling back to the decoded
-// value when the prefix is absent (hand-built or reordered input).
-func wallTime(line []byte, fallback float64) float64 {
-	const prefix = `{"t":`
-	if !bytes.HasPrefix(line, []byte(prefix)) {
-		return fallback
-	}
-	rest := line[len(prefix):]
-	end := bytes.IndexByte(rest, ',')
-	if end < 0 {
-		return fallback
-	}
-	v, err := strconv.ParseFloat(string(rest[:end]), 64)
-	if err != nil {
-		return fallback
-	}
-	return v
 }
 
 // phaseMs renders the duration between two observed timestamps, or "-"

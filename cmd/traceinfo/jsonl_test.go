@@ -117,3 +117,31 @@ func TestRunJSONLSampledOff(t *testing.T) {
 		t.Errorf("report missing total latency:\n%s", report)
 	}
 }
+
+// Latencies come from the tracer's wall clock "t"; the daemon's virtual
+// time arrives separately as "vt" and labels the slowest replan.
+func TestRunJSONLReadsWallAndVirtualTime(t *testing.T) {
+	lines := strings.Join([]string{
+		`{"t":0.010,"seq":0,"ev":"schedd.submit","vt":5000,"job":1,"trace":"tr-1"}`,
+		`{"t":0.011,"seq":1,"ev":"schedd.step","span":1,"phase":"begin","vt":5000,"batch":1,"queue_depth":1}`,
+		`{"t":0.012,"seq":2,"ev":"schedd.job.planned","span":1,"vt":5000,"job":1,"trace":"tr-1"}`,
+		`{"t":0.013,"seq":3,"ev":"schedd.step","span":1,"phase":"end","dur_ms":2.000,"outcome":"ok"}`,
+		`{"t":0.016,"seq":4,"ev":"schedd.job.published","vt":9000,"job":1,"trace":"tr-1"}`,
+	}, "\n") + "\n"
+	path := filepath.Join(t.TempDir(), "vt.jsonl")
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runJSONL(&out, path, 0); err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	// Total = published - submit on the wall clock = 6 ms.
+	if !strings.Contains(report, "6.000") {
+		t.Errorf("report missing the 6 ms wall-clock total:\n%s", report)
+	}
+	if !strings.Contains(report, "at t=0.011s (vt=5000)") {
+		t.Errorf("slowest replan not labelled with wall and virtual time:\n%s", report)
+	}
+}

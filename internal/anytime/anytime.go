@@ -236,7 +236,7 @@ func (c *Core) solve(p Problem) {
 		c.cPreempted.Inc()
 	}
 	c.cfg.Trace.Emit("anytime.session",
-		obs.Int("t", p.Now),
+		obs.Int("vt", p.Now),
 		obs.Int("jobs", int64(len(p.Inst.Jobs))),
 		obs.Bool("preempted", preempted),
 		obs.Bool("solved", !out.Failed()),
@@ -280,8 +280,8 @@ func (c *Core) publishPlan(p Problem, inc solvepipe.AnytimeIncumbent) {
 	c.best.Store(plan)
 	c.cFound.Inc()
 	c.cfg.Trace.Emit("anytime.incumbent",
-		obs.Int("t", p.Now),
-		obs.Int("seq", plan.Seq),
+		obs.Int("vt", p.Now),
+		obs.Int("plan_seq", plan.Seq),
 		obs.Float("objective", obj),
 		obs.Float("found_ms", float64(inc.At)/float64(time.Millisecond)))
 	if c.cfg.Notify != nil {

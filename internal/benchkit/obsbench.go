@@ -52,7 +52,7 @@ func (o *ObsServing) Op(i int) {
 	ctx, span := o.tr.StartSpanCtx(o.ctx, "schedd.admit",
 		obs.Str("source", "loadgen"), obs.Int("width", 4))
 	o.tr.EmitCtx(ctx, "schedd.submit",
-		obs.Int("t", int64(i)),
+		obs.Int("vt", int64(i)),
 		obs.Int("job", int64(i)),
 		obs.Int("width", 4),
 		obs.Str("source", "loadgen"))

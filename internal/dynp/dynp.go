@@ -247,7 +247,7 @@ func (s *Scheduler) buildEval(now int64, base *machine.Profile, waiting []*job.J
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dynp: %s: panic: %v", p.Name(), r)
 			s.trace.Emit("dynp.panic",
-				obs.Int("t", now),
+				obs.Int("vt", now),
 				obs.Str("policy", p.Name()),
 				obs.Str("value", fmt.Sprint(r)))
 		}
@@ -316,14 +316,14 @@ func (s *Scheduler) Step(now int64, base *machine.Profile, waiting []*job.Job) (
 		s.switches++
 		s.cSwitches.Inc()
 		s.trace.Emit("dynp.switch",
-			obs.Int("t", now),
+			obs.Int("vt", now),
 			obs.Str("from", s.current.Name()),
 			obs.Str("to", chosen.Name()))
 	}
 	if s.trace.Enabled() {
 		fields := make([]obs.Field, 0, len(evals)+4)
 		fields = append(fields,
-			obs.Int("t", now),
+			obs.Int("vt", now),
 			obs.Int("queue_depth", int64(len(waiting))),
 			obs.Str("chosen", chosen.Name()),
 			obs.Bool("switched", res.Switched))

@@ -267,7 +267,7 @@ func (k *Kernel) Serve(tr *obs.Tracer, now int64, d *Decision, sch *schedule.Sch
 		}
 		if d.Failed() {
 			tr.Emit("solve.fallback",
-				obs.Int("t", now),
+				obs.Int("vt", now),
 				obs.Str("cause", d.Failure.String()),
 				obs.Int("attempts", int64(len(d.Outcome.Attempts))),
 				obs.Str("policy", d.policy))
@@ -275,7 +275,7 @@ func (k *Kernel) Serve(tr *obs.Tracer, now int64, d *Decision, sch *schedule.Sch
 	}
 	if tr.Enabled() {
 		tr.Emit("plan.served",
-			obs.Int("t", now),
+			obs.Int("vt", now),
 			obs.Int("jobs", int64(len(sch.Entries))),
 			obs.Int("digest", int64(digest(sch))))
 	}

@@ -122,7 +122,7 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 		if r := c.recs[e.Job.ID]; r != nil && r.deadline > 0 && e.Start > r.deadline {
 			c.cAnyRejected.Inc()
 			c.trace.Emit("anytime.adopt.slo_conflict",
-				obs.Int("t", c.vnow), obs.Int("job", int64(e.Job.ID)))
+				obs.Int("vt", c.vnow), obs.Int("job", int64(e.Job.ID)))
 			return nil
 		}
 	}
@@ -130,7 +130,7 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 	// since the push without the fingerprint changing with it).
 	if err := p.Schedule.Validate(c.lastAnyInst.Base); err != nil {
 		c.cAnyRejected.Inc()
-		c.trace.Emit("anytime.adopt.invalid", obs.Int("t", c.vnow), obs.Str("err", err.Error()))
+		c.trace.Emit("anytime.adopt.invalid", obs.Int("vt", c.vnow), obs.Str("err", err.Error()))
 		return nil
 	}
 	// Strict improvement over the live plan — an intervening step may
@@ -155,8 +155,8 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 	c.appendPlanWAL("anytime", c.vnow, 0, false, "", c.newlyPlanned[plannedBefore:])
 	c.cAnyAdopted.Inc()
 	c.trace.Emit("anytime.adopted",
-		obs.Int("t", c.vnow),
-		obs.Int("seq", p.Seq),
+		obs.Int("vt", c.vnow),
+		obs.Int("plan_seq", p.Seq),
 		obs.Float("objective", p.Objective),
 		obs.Float("found_ms", float64(p.FoundAfter)/float64(time.Millisecond)))
 	record.DurMs = float64(time.Since(wallStart)) / float64(time.Millisecond)

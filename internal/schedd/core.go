@@ -12,8 +12,8 @@
 // concerns the batch CLIs never needed:
 //
 //   - submission batching: a burst of arrivals is coalesced into ONE
-//     self-tuning step (bounded by MaxBatch and MaxBatchDelay) instead
-//     of replanning per job;
+//     self-tuning step (bounded by MaxBatch, and by MaxBatchDelay and
+//     the measured cost of a pass) instead of replanning per job;
 //   - admission control: a bounded submit queue (ErrQueueFull maps to
 //     HTTP 429 + Retry-After) and per-source token-bucket rate limiting;
 //   - graceful drain: Stop finishes the in-flight replan, plans every
@@ -258,9 +258,12 @@ type Config struct {
 	// MaxBatch caps how many arrivals one self-tuning step coalesces
 	// (default 64). 1 replans per submission (batching off).
 	MaxBatch int
-	// MaxBatchDelay is how long the writer waits for more arrivals
-	// after the first of a batch. Zero coalesces only submissions that
-	// are already queued (no added latency).
+	// MaxBatchDelay is the longest the writer waits for more arrivals
+	// after the first of a batch. The actual wait is also bounded by the
+	// measured cost of a batch pass (an EWMA of advance, step, publish
+	// and snapshot wall time): waiting longer than the pass it could
+	// save adds more latency than it saves writer time. Zero coalesces
+	// only submissions that are already queued (no added latency).
 	MaxBatchDelay time.Duration
 	// RatePerSource, if > 0, enforces a per-source token bucket of this
 	// many submissions per wall second with the given Burst (default 1).
@@ -499,6 +502,11 @@ type Core struct {
 	lastArrWall  time.Time
 	lastArrCount int64
 
+	// passCost is the writer-owned EWMA of a batch pass's wall time
+	// (advance, step, publish, snapshot): the plain-mode cap on the
+	// coalescing wait.
+	passCost time.Duration
+
 	// lastPlanWall is the wall-clock time of the last plan adoption
 	// (unix nanos, atomic: written by the writer, read by health and
 	// metrics handlers for the plan-age gauge).
@@ -527,6 +535,7 @@ type Core struct {
 	cAnyRejected *obs.Counter
 	gPlanAge     *obs.Gauge
 	gBatchDelay  *obs.Gauge
+	gPassCost    *obs.Gauge
 	hBatchSize   *obs.Histogram
 	hQueueDepth  *obs.Histogram
 	hPlanLatency *obs.Histogram
@@ -623,6 +632,7 @@ func New(cfg Config) (*Core, error) {
 		c.cAnyRejected = reg.Counter("anytime.incumbents.rejected")
 		c.gPlanAge = reg.Gauge("schedd.plan.age.ms")
 		c.gBatchDelay = reg.Gauge("schedd.batch.delay.ms")
+		c.gPassCost = reg.Gauge("schedd.batch.pass.ms")
 		c.hBatchSize = reg.Histogram("schedd.batch.size", depthBounds)
 		c.hQueueDepth = reg.Histogram("schedd.queue_depth", depthBounds)
 		c.hPlanLatency = reg.Histogram("schedd.submit_to_plan_ms", latBounds)
@@ -766,7 +776,7 @@ func (c *Core) SubmitCtx(ctx context.Context, req SubmitRequest) (SubmitResponse
 		if pred, ok := c.predictStart(now, req.Width, req.Estimate); ok && pred+c.cfg.SLOMargin > deadline {
 			c.cRejectSLO.Inc()
 			c.trace.EmitCtx(ctx, "schedd.reject.slo",
-				obs.Int("t", now),
+				obs.Int("vt", now),
 				obs.Int("predicted", pred),
 				obs.Int("deadline", deadline),
 				obs.Str("source", req.Source))
@@ -838,7 +848,7 @@ func (c *Core) SubmitCtx(ctx context.Context, req SubmitRequest) (SubmitResponse
 	c.cSubmits.Inc()
 	c.vSubmits.With(req.Source).Inc()
 	c.trace.EmitCtx(ctx, "schedd.submit",
-		obs.Int("t", now),
+		obs.Int("vt", now),
 		obs.Int("job", int64(id)),
 		obs.Int("width", int64(j.Width)),
 		obs.Str("source", req.Source))
@@ -969,10 +979,12 @@ func (c *Core) run() {
 		select {
 		case sub := <-c.submitCh:
 			batch := c.collectBatch(sub)
+			passStart := time.Now()
 			c.advance()
 			c.step(batch)
 			c.publish()
 			c.maybeSnapshot()
+			c.notePass(time.Since(passStart))
 		case <-timerC:
 			c.advance()
 			c.publish()
@@ -1020,8 +1032,18 @@ func (c *Core) pushDirty() {
 	}
 }
 
+// notePass folds one batch pass's wall time into the pass-cost EWMA.
+func (c *Core) notePass(d time.Duration) {
+	c.passCost += (d - c.passCost) / passCostWeight
+	c.gPassCost.Set(float64(c.passCost) / float64(time.Millisecond))
+}
+
+// passCostWeight is the inverse EWMA weight of the newest pass: a one-off
+// slow pass (a snapshot, a GC pause) decays within a few batches.
+const passCostWeight = 4
+
 // collectBatch coalesces a burst of arrivals: it always drains what is
-// already queued (up to MaxBatch) and, with MaxBatchDelay > 0,
+// already queued (up to MaxBatch) and, when batchDelay is positive,
 // additionally waits up to that long for stragglers.
 func (c *Core) collectBatch(first *submission) []*submission {
 	batch := []*submission{first}
@@ -1084,15 +1106,30 @@ func (c *Core) collectBatch(first *submission) []*submission {
 }
 
 // batchDelay returns how long this batch collection waits for
-// stragglers. Plain mode: the configured MaxBatchDelay. Adaptive mode:
-// just long enough for the observed arrival rate to fill the batch to
-// BatchSetpoint·MaxBatch, capped at MaxBatchDelay (default cap 250ms
-// when unset) — a burst fills the batch without stretching the wait,
-// and a quiet service pays almost no added latency.
+// stragglers, and exports it as schedd.batch.delay.ms.
+//
+// Plain mode: MaxBatchDelay, capped at the measured pass cost. A wait is
+// only worth the pass it saves; waiting longer adds more latency than
+// it saves writer time (the ski-rental bound: within 2× of the better
+// fixed choice). Under load the pass cost grows with the queue, so
+// windows and batches grow with it, and arrivals that land during a
+// pass are drained as one batch regardless.
+//
+// Adaptive mode: just long enough for the observed arrival rate to fill
+// the batch to BatchSetpoint·MaxBatch, capped at MaxBatchDelay (default
+// cap 250ms when unset) — a burst fills the batch without stretching
+// the wait, and a quiet service pays almost no added latency.
 func (c *Core) batchDelay() time.Duration {
-	if !c.cfg.AdaptiveBatch {
-		return c.cfg.MaxBatchDelay
+	delay := min(c.cfg.MaxBatchDelay, c.passCost)
+	if c.cfg.AdaptiveBatch {
+		delay = c.adaptiveDelay()
 	}
+	c.gBatchDelay.Set(float64(delay) / float64(time.Millisecond))
+	return delay
+}
+
+// adaptiveDelay is batchDelay's adaptive mode.
+func (c *Core) adaptiveDelay() time.Duration {
 	cap := c.cfg.MaxBatchDelay
 	if cap <= 0 {
 		cap = 250 * time.Millisecond
@@ -1116,7 +1153,6 @@ func (c *Core) batchDelay() time.Duration {
 			delay = want
 		}
 	}
-	c.gBatchDelay.Set(float64(delay) / float64(time.Millisecond))
 	return delay
 }
 
@@ -1191,7 +1227,7 @@ func (c *Core) completeDue(t int64) bool {
 		c.walAppend(walComplete, completeWAL{Status: st})
 		c.emitCompleted(st)
 		fields := []obs.Field{
-			obs.Int("t", end),
+			obs.Int("vt", end),
 			obs.Int("job", int64(id)),
 			obs.Int("response", end-r.job.Submit),
 		}
@@ -1222,7 +1258,7 @@ func (c *Core) startDue(t int64) {
 		c.cStarts.Inc()
 		c.walAppend(walStart, startWAL{ID: id, T: t})
 		fields := []obs.Field{
-			obs.Int("t", t),
+			obs.Int("vt", t),
 			obs.Int("job", int64(id)),
 			obs.Int("width", int64(r.job.Width)),
 			obs.Int("wait", t-r.job.Submit),
@@ -1286,7 +1322,7 @@ func (c *Core) step(batch []*submission) {
 	}()
 
 	span := tr.StartSpan("schedd.step",
-		obs.Int("t", now),
+		obs.Int("vt", now),
 		obs.Int("batch", int64(len(batch))),
 		obs.Int("queue_depth", int64(len(waiting))))
 	for _, sub := range batch {
@@ -1295,7 +1331,7 @@ func (c *Core) step(batch []*submission) {
 		// the request's trace to the shared replan span tree.
 		if sub.trace != "" {
 			c.trace.Emit("schedd.job.batched",
-				obs.Int("t", now),
+				obs.Int("vt", now),
 				obs.Int("job", int64(sub.job.ID)),
 				obs.Str("trace", sub.trace))
 		}
@@ -1395,7 +1431,7 @@ func (c *Core) dumpSlowReplan(r ReplanRecord) {
 	sp := c.trace.StartSpan("schedd.replan.slow",
 		obs.Int("replan_seq", r.Seq),
 		obs.Str("kind", r.Kind),
-		obs.Int("t", r.Now),
+		obs.Int("vt", r.Now),
 		obs.Float("replan_dur_ms", r.DurMs),
 		obs.Int("batch", int64(r.Batch)),
 		obs.Int("queue_depth", int64(r.QueueDepth)),
@@ -1425,7 +1461,7 @@ func (c *Core) failStep(reason string) {
 	c.cDegraded.Inc()
 	c.degraded, c.degReason = true, reason
 	c.appendFailedStepWAL(reason)
-	c.trace.Emit("schedd.step.failed", obs.Int("t", c.vnow), obs.Str("reason", reason))
+	c.trace.Emit("schedd.step.failed", obs.Int("vt", c.vnow), obs.Str("reason", reason))
 }
 
 // serveDecision picks what a step serves from its ILP decision, always
@@ -1445,7 +1481,7 @@ func (c *Core) serveDecision(tr *obs.Tracer, now int64, res *dynp.StepResult, d 
 		if n := c.sloConflicts(d.Schedule); n > 0 && c.sloConflicts(res.Schedule) == 0 {
 			c.cSLOGuard.Inc()
 			tr.Emit("step.slo_guard",
-				obs.Int("t", now), obs.Int("conflicts", int64(n)))
+				obs.Int("vt", now), obs.Int("conflicts", int64(n)))
 			return res.Schedule, false, "", ""
 		}
 		return d.Schedule, false, "", ""
@@ -1480,20 +1516,20 @@ func (c *Core) replan(now int64) {
 	}()
 	base, err := plan.Base(c.kernel, now, c.running)
 	if err != nil {
-		c.trace.Emit("schedd.replan.failed", obs.Int("t", now), obs.Str("reason", err.Error()))
+		c.trace.Emit("schedd.replan.failed", obs.Int("vt", now), obs.Str("reason", err.Error()))
 		record.Outcome, record.ReasonClass, record.Reason = "failed", "step_error", err.Error()
 		return // keep the previous plan
 	}
 	sch, err := c.cfg.Scheduler.Reschedule(now, base, plan.Waiting(c.waiting))
 	if err != nil {
-		c.trace.Emit("schedd.replan.failed", obs.Int("t", now), obs.Str("reason", err.Error()))
+		c.trace.Emit("schedd.replan.failed", obs.Int("vt", now), obs.Str("reason", err.Error()))
 		record.Outcome, record.ReasonClass, record.Reason = "failed", "step_error", err.Error()
 		return
 	}
 	c.counts.Replans++
 	c.cReplans.Inc()
 	tr.Emit("schedd.replan",
-		obs.Int("t", now),
+		obs.Int("vt", now),
 		obs.Int("queue_depth", int64(len(c.waiting))))
 	record.Outcome = "ok"
 	c.adoptPlan(tr, now, nil, sch, c.degraded)
@@ -1522,7 +1558,7 @@ func (c *Core) adoptPlan(tr *obs.Tracer, now int64, d *plan.Decision, sch *sched
 			r.sloMiss = true
 			c.cSLOMiss.Inc()
 			c.trace.Emit("schedd.slo.miss",
-				obs.Int("t", now),
+				obs.Int("vt", now),
 				obs.Int("job", int64(e.Job.ID)),
 				obs.Int("planned_start", e.Start),
 				obs.Int("deadline", r.deadline))
@@ -1537,7 +1573,7 @@ func (c *Core) adoptPlan(tr *obs.Tracer, now int64, d *plan.Decision, sch *sched
 			c.newlyPlanned = append(c.newlyPlanned, e.Job.ID)
 			if r.trace != "" {
 				c.trace.Emit("schedd.job.planned",
-					obs.Int("t", now),
+					obs.Int("vt", now),
 					obs.Int("job", int64(e.Job.ID)),
 					obs.Int("planned_start", e.Start),
 					obs.Float("plan_latency_ms", float64(r.planLatency)/float64(time.Millisecond)),
@@ -1563,7 +1599,7 @@ func (c *Core) finalDrain() {
 				c.step(batch)
 			}
 			c.trace.Emit("schedd.drain",
-				obs.Int("t", c.vnow),
+				obs.Int("vt", c.vnow),
 				obs.Int("flushed", int64(len(batch))),
 				obs.Int("waiting", int64(len(c.waiting))),
 				obs.Int("running", int64(len(c.running))))
@@ -1623,7 +1659,7 @@ func (c *Core) publish() {
 		// snapshot carrying the job's plan is now visible to readers.
 		if trace := c.traceOf(id); trace != "" {
 			c.trace.Emit("schedd.job.published",
-				obs.Int("t", c.vnow),
+				obs.Int("vt", c.vnow),
 				obs.Int("job", int64(id)),
 				obs.Int("version", s.Version),
 				obs.Str("trace", trace))

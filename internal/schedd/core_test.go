@@ -239,6 +239,96 @@ func TestBatchingReducesSteps(t *testing.T) {
 	}
 }
 
+// A lone submission must not sit out a long coalescing window: the wait
+// is capped by the cost of the pass it could save, which is
+// milliseconds, not the configured second.
+func TestLoneSubmissionSkipsLongBatchDelay(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := startCore(t, Config{
+		Machine:       8,
+		Clock:         NewManualClock(0),
+		MaxBatch:      64,
+		MaxBatchDelay: time.Second,
+		Metrics:       reg,
+	})
+	for i := 1; i <= 3; i++ {
+		begin := time.Now()
+		if _, err := c.Submit(SubmitRequest{Width: 1, Estimate: 10}); err != nil {
+			t.Fatal(err)
+		}
+		waitPlanned(t, c, int64(i))
+		if took := time.Since(begin); took > 250*time.Millisecond {
+			t.Fatalf("submission %d planned after %v with MaxBatchDelay 1s, want well under 1s", i, took)
+		}
+	}
+	if d := reg.Gauge("schedd.batch.delay.ms").Value(); d >= 1000 {
+		t.Errorf("schedd.batch.delay.ms = %v, want below the 1000 ms cap", d)
+	}
+	if p := reg.Gauge("schedd.batch.pass.ms").Value(); p <= 0 {
+		t.Errorf("schedd.batch.pass.ms = %v, want the measured pass cost", p)
+	}
+}
+
+func TestBatchDelayCappedByPassCost(t *testing.T) {
+	newCore := func(cfg Config) (*Core, *obs.Registry) {
+		reg := obs.NewRegistry()
+		cfg.Machine, cfg.Scheduler, cfg.Metrics = 8, newScheduler(t), reg
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, reg
+	}
+	for _, tc := range []struct {
+		name           string
+		maxDelay, pass time.Duration
+		want           time.Duration
+	}{
+		{"pass cost caps the wait", 10 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond},
+		{"MaxBatchDelay caps a costly pass", 10 * time.Millisecond, 50 * time.Millisecond, 10 * time.Millisecond},
+		{"no pass measured yet", 10 * time.Millisecond, 0, 0},
+		{"zero delay stays zero", 0, 5 * time.Millisecond, 0},
+	} {
+		c, reg := newCore(Config{MaxBatchDelay: tc.maxDelay})
+		c.passCost = tc.pass
+		if got := c.batchDelay(); got != tc.want {
+			t.Errorf("%s: batchDelay = %v, want %v", tc.name, got, tc.want)
+		}
+		if g := reg.Gauge("schedd.batch.delay.ms").Value(); g != float64(tc.want)/float64(time.Millisecond) {
+			t.Errorf("%s: schedd.batch.delay.ms = %v, want %v", tc.name, g, tc.want)
+		}
+	}
+
+	// Adaptive mode ignores the pass cost: with no arrival rate observed
+	// yet it waits the full cap, as before.
+	c, _ := newCore(Config{MaxBatch: 64, MaxBatchDelay: 2 * time.Second, AdaptiveBatch: true})
+	c.passCost = time.Millisecond
+	if got := c.batchDelay(); got != 2*time.Second {
+		t.Errorf("adaptive: batchDelay = %v, want the 2s cap", got)
+	}
+	// An observed rate shortens it to the time to fill BatchSetpoint of
+	// MaxBatch: 32 jobs at 1000/s is 32 ms.
+	c.arrRate, c.lastArrWall, c.lastArrCount = 1000, time.Time{}, 0
+	if got := c.batchDelay(); got != 32*time.Millisecond {
+		t.Errorf("adaptive: batchDelay = %v at 1000 jobs/s, want 32ms", got)
+	}
+}
+
+// notePass keeps an EWMA: one slow pass moves it a quarter of the way.
+func TestNotePassEWMA(t *testing.T) {
+	c := &Core{}
+	c.notePass(8 * time.Millisecond)
+	if c.passCost != 2*time.Millisecond {
+		t.Fatalf("after one 8ms pass: %v, want 2ms", c.passCost)
+	}
+	for i := 0; i < 50; i++ {
+		c.notePass(time.Millisecond)
+	}
+	if d := c.passCost - time.Millisecond; d < 0 || d > 10*time.Microsecond {
+		t.Fatalf("after steady 1ms passes: %v, want ~1ms", c.passCost)
+	}
+}
+
 func TestCompletionAndPullForward(t *testing.T) {
 	// Accelerated wall clock: virtual seconds fly by at 2000/s, so the
 	// short job below completes in a few wall milliseconds and the

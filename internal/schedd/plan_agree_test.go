@@ -28,8 +28,8 @@ func servedPlans(t *testing.T, trace string) []servedPlan {
 		if !strings.Contains(line, `"ev":"plan.served"`) {
 			continue
 		}
-		// Digests are 64-bit: keep numbers exact. The event's own "t"
-		// follows, and so overrides, the tracer's wall-clock offset.
+		// Digests are 64-bit: keep numbers exact. "vt" is the virtual
+		// time of the plan ("t" is the tracer's wall clock).
 		dec := json.NewDecoder(strings.NewReader(line))
 		dec.UseNumber()
 		var e map[string]any
@@ -37,7 +37,7 @@ func servedPlans(t *testing.T, trace string) []servedPlan {
 			t.Fatalf("bad trace line %q: %v", line, err)
 		}
 		num := func(k string) string { n, _ := e[k].(json.Number); return n.String() }
-		out = append(out, servedPlan{t: num("t"), jobs: num("jobs"), digest: num("digest")})
+		out = append(out, servedPlan{t: num("vt"), jobs: num("jobs"), digest: num("digest")})
 	}
 	return out
 }

@@ -423,7 +423,7 @@ func (s *Simulator) startDueJobs() {
 		s.push(event{time: s.clock + j.Runtime, kind: evEnd, job: j})
 		s.cStarts.Inc()
 		s.trace.Emit("sim.start",
-			obs.Int("t", s.clock),
+			obs.Int("vt", s.clock),
 			obs.Int("job", int64(j.ID)),
 			obs.Int("width", int64(j.Width)),
 			obs.Int("wait", s.clock-j.Submit))
@@ -439,7 +439,7 @@ func (s *Simulator) selfTune(submitted *job.Job) error {
 	waiting := plan.Waiting(s.waiting)
 	s.hQueueDepth.Observe(float64(len(waiting)))
 	span := s.trace.StartSpan("sim.selftune",
-		obs.Int("t", s.clock),
+		obs.Int("vt", s.clock),
 		obs.Int("queue_depth", int64(len(waiting))))
 	res, err := s.scheduler.Step(s.clock, base, waiting)
 	if err != nil {
@@ -526,7 +526,7 @@ func (s *Simulator) replan() error {
 	s.result.Replans++
 	s.cReplans.Inc()
 	s.trace.Emit("sim.replan",
-		obs.Int("t", s.clock),
+		obs.Int("vt", s.clock),
 		obs.Int("queue_depth", int64(len(s.waiting))),
 		obs.Str("policy", s.scheduler.Current().Name()))
 	sch, err := s.scheduler.Reschedule(s.clock, base, plan.Waiting(s.waiting))
@@ -574,7 +574,7 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 			s.result.Completed = append(s.result.Completed, done)
 			s.cEnds.Inc()
 			s.trace.Emit("sim.end",
-				obs.Int("t", s.clock),
+				obs.Int("vt", s.clock),
 				obs.Int("job", int64(r.job.ID)),
 				obs.Int("response", done.ResponseTime()),
 				obs.Int("wait", done.WaitTime()))
@@ -607,7 +607,7 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 			s.waiting[e.job.ID] = e.job
 			s.cSubmits.Inc()
 			s.trace.Emit("sim.submit",
-				obs.Int("t", s.clock),
+				obs.Int("vt", s.clock),
 				obs.Int("job", int64(e.job.ID)),
 				obs.Int("width", int64(e.job.Width)),
 				obs.Int("estimate", e.job.Estimate))
